@@ -2,24 +2,21 @@
 
 Two levels of measurement, one artifact:
 
-* ``codec-encode`` / ``codec-decode`` micro rows — per-frame CPU cost
-  and bytes on the wire for the protocol's representative frame shapes
-  (an index put, a scan request, a posting-heavy scan reply, a gossip
-  datagram), under both codecs.  This is where the binary codec's
-  bytes-per-frame claim is pinned.
+* ``codec-frame`` micro rows — per-frame encode/decode CPU cost and
+  bytes on the wire for the protocol's representative frame shapes (an
+  index put, a scan request, a posting-heavy scan reply, a gossip
+  datagram).
 * ``raw-rpc`` / ``superset-search`` cluster rows — the end-to-end
-  transport cost over real loopback sockets, run once per codec so the
-  v1-JSON and v2-binary stacks appear side by side in BENCH_net.json.
+  transport cost over real loopback sockets.
 """
 
 import pathlib
 import time
-from dataclasses import replace
 
 from repro.core.config import ServiceConfig
 from repro.experiments.harness import ExperimentResult
 from repro.net.cluster import LocalCluster
-from repro.net.codec import CODEC_BINARY, CODEC_JSON, PostingList
+from repro.net.codec import PostingList
 from repro.net.wire import Frame, FrameType, decode_frame, encode_frame
 
 from benchmarks.conftest import run_once
@@ -31,8 +28,6 @@ RAW_RPCS = 2_000
 QUERIES = 200
 MICRO_OPS = 2_000
 ROUNDS = 3
-
-CODEC_IDS = {"json": CODEC_JSON, "binary": CODEC_BINARY}
 
 # The frame shapes the protocol actually sends, hot-path first.
 FRAME_SHAPES = {
@@ -65,38 +60,35 @@ FRAME_SHAPES = {
 
 
 def codec_micro_rows(micro_ops: int = MICRO_OPS) -> list[dict]:
-    """Encode/decode µs per frame and bytes on the wire, per shape per
-    codec."""
+    """Encode/decode µs per frame and bytes on the wire, per shape."""
     rows = []
     for shape, frame in FRAME_SHAPES.items():
-        for codec, codec_id in CODEC_IDS.items():
-            data = encode_frame(frame, codec=codec_id)
-            started = time.process_time()
-            for _ in range(micro_ops):
-                encode_frame(frame, codec=codec_id)
-            encode_cpu = time.process_time() - started
-            started = time.process_time()
-            for _ in range(micro_ops):
-                decode_frame(data)
-            decode_cpu = time.process_time() - started
-            rows.append(
-                {
-                    "load": "codec-frame",
-                    "shape": shape,
-                    "codec": codec,
-                    "bytes": len(data),
-                    "encode_us": round(encode_cpu / micro_ops * 1e6, 3),
-                    "decode_us": round(decode_cpu / micro_ops * 1e6, 3),
-                }
-            )
+        data = encode_frame(frame)
+        started = time.process_time()
+        for _ in range(micro_ops):
+            encode_frame(frame)
+        encode_cpu = time.process_time() - started
+        started = time.process_time()
+        for _ in range(micro_ops):
+            decode_frame(data)
+        decode_cpu = time.process_time() - started
+        rows.append(
+            {
+                "load": "codec-frame",
+                "shape": shape,
+                "bytes": len(data),
+                "encode_us": round(encode_cpu / micro_ops * 1e6, 3),
+                "decode_us": round(decode_cpu / micro_ops * 1e6, 3),
+            }
+        )
     return rows
 
 
 def run_cluster(
     config: ServiceConfig, raw_rpcs: int, queries: int
 ) -> tuple[list[dict], list[str]]:
-    """The two cluster loads under one codec; rows carry per-load
-    bytes-on-the-wire deltas."""
+    """The two cluster loads; rows carry per-load bytes-on-the-wire
+    deltas."""
     rows = []
     with LocalCluster(config) as cluster:
         transport = cluster.transport
@@ -114,7 +106,6 @@ def run_cluster(
         rows.append(
             {
                 "load": "raw-rpc",
-                "codec": config.codec,
                 "operations": raw_rpcs,
                 "ops_per_s": round(raw_rpcs / elapsed, 1),
                 "bytes_sent": transport.metrics.counter("net.bytes_sent") - bytes_before,
@@ -137,7 +128,6 @@ def run_cluster(
         rows.append(
             {
                 "load": "superset-search",
-                "codec": config.codec,
                 "operations": queries,
                 "ops_per_s": round(queries / elapsed, 1),
                 "bytes_sent": transport.metrics.counter("net.bytes_sent") - bytes_before,
@@ -149,10 +139,10 @@ def run_cluster(
 
         counters = transport.metrics.counters()
         notes = [
-            f"net.bytes_sent[{config.codec}]={counters.get('net.bytes_sent', 0)}",
-            f"net.frames_sent[{config.codec}]={counters.get('net.frames_sent', 0)}",
-            f"net.connections_opened[{config.codec}]={counters.get('net.connections_opened', 0)}",
-            f"net.protocol_errors[{config.codec}]={counters.get('net.protocol_errors', 0)}",
+            f"net.bytes_sent={counters.get('net.bytes_sent', 0)}",
+            f"net.frames_sent={counters.get('net.frames_sent', 0)}",
+            f"net.connections_opened={counters.get('net.connections_opened', 0)}",
+            f"net.protocol_errors={counters.get('net.protocol_errors', 0)}",
         ]
     return rows, notes
 
@@ -163,24 +153,19 @@ def run(
     queries: int = QUERIES,
     rounds: int = ROUNDS,
 ):
-    """Codec micro rows, then the cluster loads best-of-``rounds`` per
-    codec (loopback throughput on a shared box is noisy; bytes-on-wire
-    are deterministic and identical across rounds)."""
+    """Codec micro rows, then the cluster loads best-of-``rounds``
+    (loopback throughput on a shared box is noisy; bytes-on-wire are
+    deterministic and identical across rounds)."""
     rows = codec_micro_rows()
-    notes = []
-    for codec in ("json", "binary"):
-        best: dict[str, dict] = {}
-        cluster_notes: list[str] = []
-        for _ in range(rounds):
-            round_rows, cluster_notes = run_cluster(
-                replace(config, codec=codec), raw_rpcs, queries
-            )
-            for row in round_rows:
-                kept = best.get(row["load"])
-                if kept is None or row["ops_per_s"] > kept["ops_per_s"]:
-                    best[row["load"]] = row
-        rows.extend(best[load] for load in ("raw-rpc", "superset-search"))
-        notes.extend(cluster_notes)
+    best: dict[str, dict] = {}
+    notes: list[str] = []
+    for _ in range(rounds):
+        round_rows, notes = run_cluster(config, raw_rpcs, queries)
+        for row in round_rows:
+            kept = best.get(row["load"])
+            if kept is None or row["ops_per_s"] > kept["ops_per_s"]:
+                best[row["load"]] = row
+    rows.extend(best[load] for load in ("raw-rpc", "superset-search"))
     return ExperimentResult(
         experiment="net",
         description="loopback TCP transport: RPC throughput, latency, codec costs",
@@ -202,27 +187,11 @@ def test_net(benchmark, record_result):
     result = run_once(benchmark, run)
     record_result(result)
     BASELINE_JSON.write_text(result.to_json() + "\n", encoding="utf-8")
-    by_load = {
-        (row["load"], row["codec"]): row for row in result.rows if "codec" in row
-    }
-    micro = {
-        (row["shape"], row["codec"]): row
-        for row in result.rows
-        if row["load"] == "codec-frame"
-    }
+    by_load = {row["load"]: row for row in result.rows}
     # Loopback floors, generous enough for slow CI machines.
-    for codec in ("json", "binary"):
-        assert by_load[("raw-rpc", codec)]["ops_per_s"] > 200
-        assert by_load[("superset-search", codec)]["ops_per_s"] > 5
-        assert by_load[("raw-rpc", codec)]["latency_ms_p50"] > 0
+    assert by_load["raw-rpc"]["ops_per_s"] > 200
+    assert by_load["superset-search"]["ops_per_s"] > 5
+    assert by_load["raw-rpc"]["latency_ms_p50"] > 0
     counters = dict(note.split("=") for note in result.notes)
-    assert int(counters["net.protocol_errors[json]"]) == 0
-    assert int(counters["net.protocol_errors[binary]"]) == 0
-    assert int(counters["net.frames_sent[binary]"]) > 2 * RAW_RPCS
-    # The codec's headline claims: smaller frames on every shape, and
-    # >= 30% fewer bytes end-to-end on the search workload.
-    for shape in FRAME_SHAPES:
-        assert micro[(shape, "binary")]["bytes"] < micro[(shape, "json")]["bytes"]
-    binary_bytes = by_load[("superset-search", "binary")]["bytes_sent"]
-    json_bytes = by_load[("superset-search", "json")]["bytes_sent"]
-    assert binary_bytes <= 0.7 * json_bytes
+    assert int(counters["net.protocol_errors"]) == 0
+    assert int(counters["net.frames_sent"]) > 2 * RAW_RPCS

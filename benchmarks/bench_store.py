@@ -6,9 +6,8 @@ experiment tests), and opting a deployment into :class:`FileStore`
 (``--data-dir``) must cost under 10% on the write path of a real
 workload.  This benchmark publishes the Figure 8 corpus (r=10 hypercube,
 4096 objects — the reference shard size for recovery) through the full
-stack three times — all-memory, every node on a WAL-backed FileStore
-under the default binary record codec, and the same under the v1 JSON
-codec — and compares insert CPU floors.  It then measures what the durability buys:
+stack twice — all-memory, and every node on a WAL-backed FileStore — and
+compares insert CPU floors.  It then measures what the durability buys:
 cold recovery of the whole 4k-object deployment from the WALs alone and
 from snapshots (post-compaction), verifying the recovered stores carry
 every record the live run wrote.
@@ -70,7 +69,6 @@ def run(
 
     memory_best = float("inf")
     durable_best = float("inf")
-    durable_json_best = float("inf")
     recovery_wal_best = float("inf")
     recovery_snap_best = float("inf")
     recovered_records = 0
@@ -86,21 +84,14 @@ def run(
                 def factory(address: int) -> FileStore:
                     return FileStore(base / f"node-{address}")
 
-                def json_factory(address: int) -> FileStore:
-                    return FileStore(base / f"json-{address}", codec="json")
-
                 if round_number % 2 == 0:
                     memory_service, memory_cpu = build()
                     durable_service, durable_cpu = build(factory)
-                    _json_service, durable_json_cpu = build(json_factory)
                 else:
-                    _json_service, durable_json_cpu = build(json_factory)
                     durable_service, durable_cpu = build(factory)
                     memory_service, memory_cpu = build()
-                _json_service.close_stores()
                 memory_best = min(memory_best, memory_cpu)
                 durable_best = min(durable_best, durable_cpu)
-                durable_json_best = min(durable_json_best, durable_json_cpu)
 
                 # Durability must not perturb results (spot check).
                 parity_failures += sum(
@@ -142,7 +133,6 @@ def run(
         gc.enable()
 
     overhead = (durable_best - memory_best) / memory_best
-    overhead_json = (durable_json_best - memory_best) / memory_best
     rows = [
         {
             "mode": "memory",
@@ -154,11 +144,6 @@ def run(
             "objects": num_objects,
             "insert_cpu_ms": round(durable_best * 1e3, 3),
             "wal_appends": wal_appends,
-        },
-        {
-            "mode": "durable-json",
-            "objects": num_objects,
-            "insert_cpu_ms": round(durable_json_best * 1e3, 3),
         },
         {
             "mode": "recover-wal",
@@ -185,7 +170,6 @@ def run(
         rows=rows,
         notes=[
             f"overhead={overhead:+.4f}",
-            f"overhead_json={overhead_json:+.4f}",
             f"budget={OVERHEAD_BUDGET}",
             f"wal_appends={wal_appends}",
             f"recovered_records={recovered_records}",

@@ -4,20 +4,14 @@
 The scenario CI runs end-to-end, across real process boundaries:
 
 1. build a 16-node deployment where 15 nodes live in this process (one
-   ``AsyncioTransport`` serving 15 loopback sockets, default binary
-   codec) and one **victim** node runs as a separate ``python -m repro
-   node serve`` process with ``--data-dir`` (WAL + snapshot
-   persistence), ``--stats-port``, and ``--codec json`` — a v1-pinned
-   daemon among v2-capable peers, so every cross-process RPC exercises
-   the mixed-codec negotiation path;
+   ``AsyncioTransport`` serving 15 loopback sockets) and one **victim**
+   node runs as a separate ``python -m repro node serve`` process with
+   ``--data-dir`` (WAL + snapshot persistence) and ``--stats-port``;
 2. publish half the corpus through the cluster — the victim's shard and
-   reference table land in its WAL as version-1 (JSON) records;
+   reference table land in its WAL;
 3. ``SIGKILL`` the victim mid-workload (no flush, no goodbye);
-4. restart it from the same ``--data-dir`` on the same port under the
-   *default binary codec* — the rolling-upgrade restart: recovery must
-   replay the JSON-era WAL, and new appends land as version-2 records
-   in the same file — wait for ``/healthz``, and check its metrics
-   report a recovery;
+4. restart it from the same ``--data-dir`` on the same port, wait for
+   ``/healthz``, and check its metrics report a recovery;
 5. publish the other half, then run superset queries from a survivor
    and compare every result set against a same-seed simulator that
    never crashed — byte-for-byte parity, 100% recall;
@@ -26,10 +20,7 @@ The scenario CI runs end-to-end, across real process boundaries:
    result sets against the uninterrupted simulator — the victim's trie
    rows must come back from its WAL, and the second half's trie edge
    splits must have landed on the *recovered* structure;
-7. scan the victim's WAL files and require **both** record versions on
-   disk — proof the mixed-codec file the upgrade leaves behind is what
-   recovery actually replayed;
-8. stop the victim with SIGTERM (the graceful path) and exit.
+7. stop the victim with SIGTERM (the graceful path) and exit.
 
 Exits non-zero on any mismatch.  Runs in well under a minute.
 """
@@ -83,22 +74,6 @@ def fetch_metrics(port: int) -> dict:
         return json.loads(response.read().decode("utf-8"))
 
 
-def wal_record_versions(data_dir: Path) -> set[int]:
-    """Every record version byte present across the WAL files under
-    ``data_dir`` — frame walk only, no payload decoding."""
-    versions: set[int] = set()
-    for wal_path in data_dir.rglob("wal.log"):
-        data = wal_path.read_bytes()
-        position = 0
-        while position + 8 < len(data):
-            length = int.from_bytes(data[position : position + 4], "big")
-            if length == 0 or position + 8 + length > len(data):
-                break  # torn tail
-            versions.add(data[position + 8])
-            position += 8 + length
-    return versions
-
-
 def launch_victim(
     config: ServiceConfig,
     victim: int,
@@ -106,7 +81,6 @@ def launch_victim(
     stats_port: int,
     data_dir: Path,
     peers: dict[int, tuple[str, int]],
-    codec: str = "binary",
 ) -> subprocess.Popen:
     command = [
         sys.executable, "-m", "repro", "node", "serve",
@@ -118,7 +92,6 @@ def launch_victim(
         "--stats-port", str(stats_port),
         "--data-dir", str(data_dir),
         "--prefix-directory",
-        "--codec", codec,
     ]
     for address, (host, peer_port) in peers.items():
         command += ["--peer", f"{address}={host}:{peer_port}"]
@@ -196,14 +169,9 @@ def main() -> int:
         peers = dict(transport.endpoints)
         with tempfile.TemporaryDirectory(prefix="crash-smoke-") as data_dir:
             data = Path(data_dir)
-            process = launch_victim(
-                config, victim, victim_port, stats_port, data, peers, codec="json"
-            )
+            process = launch_victim(config, victim, victim_port, stats_port, data, peers)
             wait_for_health(stats_port, time.monotonic() + arguments.timeout)
-            print(
-                f"victim serving on :{victim_port} (codec json, peers binary), "
-                f"stats on :{stats_port}"
-            )
+            print(f"victim serving on :{victim_port}, stats on :{stats_port}")
 
             for object_id, keywords in items[:half]:
                 service.publish(object_id, keywords, holder=holder)
@@ -211,19 +179,14 @@ def main() -> int:
 
             process.send_signal(signal.SIGKILL)
             process.wait(timeout=10)
-            process = launch_victim(
-                config, victim, victim_port, stats_port, data, peers, codec="binary"
-            )
+            process = launch_victim(config, victim, victim_port, stats_port, data, peers)
             wait_for_health(stats_port, time.monotonic() + arguments.timeout)
             counters = fetch_metrics(stats_port).get("counters", {})
             recovered = counters.get("store.recovered_records", 0)
             if counters.get("store.recoveries", 0) < 1:
                 print("FAIL: restarted victim reports no store recovery")
                 return 1
-            print(
-                f"victim restarted under codec binary; "
-                f"recovered {recovered} records from its JSON-era WAL"
-            )
+            print(f"victim restarted; recovered {recovered} records from its WAL")
 
             for object_id, keywords in items[half:]:
                 service.publish(object_id, keywords, holder=holder)
@@ -259,15 +222,6 @@ def main() -> int:
                 print(f"FAIL: {mismatches}/{len(prefixes)} prefix queries diverged")
                 return 1
             print(f"all {len(prefixes)} prefix queries resolve identically after recovery")
-
-            versions = wal_record_versions(data)
-            if not {1, 2} <= versions:
-                print(
-                    f"FAIL: expected mixed WAL record versions {{1, 2}} on disk, "
-                    f"found {sorted(versions)}"
-                )
-                return 1
-            print(f"victim WAL holds mixed record versions {sorted(versions)}")
 
             process.send_signal(signal.SIGTERM)  # the graceful path
             try:

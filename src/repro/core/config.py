@@ -1,16 +1,12 @@
 """Typed configuration for the service façade.
 
-:class:`ServiceConfig` replaces the stringly-typed knobs
-``KeywordSearchService.create`` grew over time (``dht="chord"``,
-``cache_policy="fifo"``, ``contact_mode="direct"``) with enums and
-dataclasses that fail at construction time instead of deep inside the
-stack, and that carry the resilience policy (retries, deadlines,
-circuit breaking) alongside the topology knobs.  :class:`SearchOptions`
-does the same for per-query parameters.
-
-The legacy keyword form of ``create`` keeps working through
-:meth:`ServiceConfig.from_legacy`, which coerces strings to enums and
-emits a :class:`DeprecationWarning`.
+:class:`ServiceConfig` holds every knob
+``KeywordSearchService.create`` takes as enums and dataclasses that
+fail at construction time instead of deep inside the stack (string
+forms such as ``dht="chord"`` are coerced to their enum members), and
+carries the resilience policy (retries, deadlines, circuit breaking)
+alongside the topology knobs.  :class:`SearchOptions` does the same for
+per-query parameters.
 """
 
 from __future__ import annotations
@@ -21,7 +17,6 @@ from dataclasses import dataclass, replace
 
 from repro.core.cache import CacheSizing
 from repro.core.search import TraversalOrder
-from repro.net.codec import codec_by_name
 from repro.sim.resilience import BreakerPolicy, RetryPolicy
 
 __all__ = [
@@ -101,13 +96,9 @@ class ServiceConfig:
     equal split, default) or ``SQRT_LOAD`` (the Sarshar & Roychowdhury
     optimum, allocation proportional to √demand).
 
-    ``codec`` picks the serialization stack (docs/protocol.md §18) for
-    TCP deployments: ``"binary"`` (default) speaks the v2 binary wire
-    envelope and writes v2 WAL records; ``"json"`` pins the v1 JSON
-    formats everywhere.  Mixed clusters interoperate — binary nodes
-    negotiate per connection and fall back to JSON with v1 peers, and
-    store recovery reads either record format — so the knob exists for
-    rolling upgrades and A/B measurement, not correctness.
+    There is no serialization knob: TCP deployments always speak the
+    binary v2 wire format and write v2 WAL records (docs/protocol.md
+    §18).
     """
 
     dimension: int
@@ -124,7 +115,6 @@ class ServiceConfig:
     cooperative_cache: bool = False
     cache_sizing: CacheSizing = CacheSizing.UNIFORM
     prefix_directory: bool = False
-    codec: str = "binary"
 
     def __post_init__(self) -> None:
         # Tolerate string forms so configs read naturally from literals,
@@ -134,10 +124,6 @@ class ServiceConfig:
         object.__setattr__(self, "cache_policy", _coerce(self.cache_policy, CachePolicy))
         object.__setattr__(self, "contact_mode", _coerce(self.contact_mode, ContactMode))
         object.__setattr__(self, "cache_sizing", _coerce(self.cache_sizing, CacheSizing))
-        # Normalize via the codec registry so typos fail here, not at
-        # the first frame; a constructed config always holds the
-        # canonical codec name ("binary" / "json").
-        object.__setattr__(self, "codec", codec_by_name(self.codec).name)
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
         if self.num_dht_nodes < 1:
@@ -146,34 +132,6 @@ class ServiceConfig:
             raise ValueError(f"cache_capacity must be >= 0, got {self.cache_capacity}")
         if self.index_replicas < 1:
             raise ValueError(f"index_replicas must be >= 1, got {self.index_replicas}")
-
-    @classmethod
-    def from_legacy(cls, **kwargs) -> "ServiceConfig":
-        """Build a config from the pre-1.1 keyword arguments (strings
-        for ``dht`` / ``cache_policy`` / ``contact_mode``).  Unknown
-        string values raise ``ValueError`` exactly as the old façade
-        did."""
-        try:
-            return cls(**kwargs)
-        except ValueError as error:
-            # Re-frame enum coercion errors in the old API's terms.
-            message = str(error)
-            if "DhtKind" in message:
-                raise ValueError(
-                    f"dht must be one of {sorted(k.value for k in DhtKind)}, "
-                    f"got {kwargs.get('dht')!r}"
-                ) from None
-            if "CachePolicy" in message:
-                raise ValueError(
-                    f"cache_policy must be one of {sorted(p.value for p in CachePolicy)}, "
-                    f"got {kwargs.get('cache_policy')!r}"
-                ) from None
-            if "ContactMode" in message:
-                raise ValueError(
-                    f"contact_mode must be 'direct' or 'routed', "
-                    f"got {kwargs.get('contact_mode')!r}"
-                ) from None
-            raise
 
     def with_resilience(
         self, resilience: RetryPolicy, breaker: BreakerPolicy | None = None

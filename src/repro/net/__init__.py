@@ -23,16 +23,7 @@ the light contract modules from here, and eagerly pulling in the stack
 on top of it would be circular.
 """
 
-from repro.net.codec import (
-    BINARY_CODEC,
-    CODEC_BINARY,
-    CODEC_JSON,
-    JSON_CODEC,
-    Codec,
-    PostingList,
-    codec_by_id,
-    codec_by_name,
-)
+from repro.net.codec import CODEC_BINARY, PostingList
 from repro.net.errors import (
     PeerUnreachableError,
     ProtocolError,
@@ -43,7 +34,6 @@ from repro.net.errors import (
 from repro.net.transport import Handler, Message, MessageTrace, Transport
 from repro.net.wire import (
     PROTOCOL_VERSION,
-    PROTOCOL_VERSION_BINARY,
     Frame,
     FrameDecoder,
     FrameType,
@@ -53,21 +43,16 @@ from repro.net.wire import (
 
 __all__ = [
     "AsyncioTransport",
-    "BINARY_CODEC",
     "CODEC_BINARY",
-    "CODEC_JSON",
-    "Codec",
     "Frame",
     "FrameDecoder",
     "FrameType",
     "Handler",
-    "JSON_CODEC",
     "LocalCluster",
     "Message",
     "MessageTrace",
     "NodeDaemon",
     "PROTOCOL_VERSION",
-    "PROTOCOL_VERSION_BINARY",
     "PeerUnreachableError",
     "PostingList",
     "ProtocolError",
@@ -76,8 +61,6 @@ __all__ = [
     "Transport",
     "TransportError",
     "cluster_addresses",
-    "codec_by_id",
-    "codec_by_name",
     "decode_frame",
     "encode_frame",
 ]

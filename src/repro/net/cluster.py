@@ -77,18 +77,14 @@ class LocalCluster:
         self.membership: MembershipAgent | None = None
         self.transport = AsyncioTransport(
             host=host, rpc_timeout=rpc_timeout, time_scale=time_scale,
-            admission=admission, codec=config.codec,
+            admission=admission,
         )
         store_factory = None
         if data_dir is not None:
             base = Path(data_dir)
 
             def store_factory(address: int) -> FileStore:
-                return FileStore(
-                    base / f"node-{address}",
-                    metrics=self.transport.metrics,
-                    codec=config.codec,
-                )
+                return FileStore(base / f"node-{address}", metrics=self.transport.metrics)
 
         try:
             self.service = KeywordSearchService.create(

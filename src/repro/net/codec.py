@@ -1,65 +1,46 @@
-"""The codec core: one serialization stack for wire, WAL, and scans.
+"""The codec core: one serialization for wire, WAL, and scans.
 
-Every byte this package persists or transmits is produced by one of two
-codecs defined here:
+Every byte this package transmits or writes is produced by one binary
+value encoding: one type byte per value, varint integers (zigzag for
+sign), length-prefixed raw-UTF-8 strings, and a *flat posting-set*
+form (:class:`PostingList`) that serializes an ``hindex.scan`` reply's
+``[(frozenset, tuple), ...]`` matches without per-element type bytes.
+Encoding appends into one reusable per-thread ``bytearray`` (no
+intermediate ``bytes`` joins); decoding walks offsets over a
+``memoryview`` so no slice of the input is copied before the final
+``str`` construction.
 
-* :data:`CODEC_JSON` (id 1) — the original tagged-JSON encoding: a
-  payload is lowered to pure-JSON types with ``{"!": tag, "v": ...}``
-  wrappers for ``tuple`` / ``set`` / ``frozenset`` / awkward dicts,
-  then ``json.dumps``-ed.  Human-readable, interoperable with v1 peers,
-  and the rolling-upgrade fallback.
-* :data:`CODEC_BINARY` (id 2) — a compact binary encoding: one type
-  byte per value, varint integers (zigzag for sign), length-prefixed
-  raw-UTF-8 strings, and a *flat posting-set* form
-  (:class:`PostingList`) that serializes an ``hindex.scan`` reply's
-  ``[(frozenset, tuple), ...]`` matches without per-element type bytes.
-  Encoding appends into one reusable per-thread ``bytearray`` (no
-  intermediate ``bytes`` joins); decoding walks offsets over a
-  ``memoryview`` so no slice of the input is copied before the final
-  ``str`` construction.
-
-The two codecs carry the same value domain: ``None``, ``bool``,
-``int`` (arbitrary precision), finite ``float``, ``str``, ``list``,
-``tuple``, ``set``, ``frozenset``, and ``dict`` (any hashable encodable
-keys).  Non-finite floats are rejected by *both* (JSON via
-``allow_nan=False``) so a payload either round-trips under every codec
-or is rejected by every codec — the cross-codec equality the property
-tests pin.
+The value domain is ``None``, ``bool``, ``int`` (arbitrary precision),
+finite ``float``, ``str``, ``list``, ``tuple``, ``set``, ``frozenset``,
+and ``dict`` (any hashable encodable keys); every value in it
+round-trips to an equal value of the same type.  Non-finite floats and
+any other type are rejected at encode time.
 
 Consumers:
 
-* :mod:`repro.net.wire` — frame envelopes (version byte 1 = JSON
-  envelope, version byte 2 = codec-id byte + that codec's envelope),
-* :mod:`repro.store.wal` — WAL records and snapshots (version byte per
-  record selects the codec; recovery auto-detects),
+* :mod:`repro.net.wire` — frame envelopes (version byte 2, then the
+  codec-id byte :data:`CODEC_BINARY`, then the envelope),
+* :mod:`repro.store.wal` — WAL records and snapshots (version byte 2;
+  the v1 JSON records of older data directories stay readable there),
 * :mod:`repro.core.index` — scan replies mark their matches as a
-  :class:`PostingList` to opt into the flat encoding,
-* :mod:`repro.sim.network` — opt-in codec-true byte accounting so
-  simulator bandwidth rows stay comparable with the TCP transport.
+  :class:`PostingList` to opt into the flat encoding.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 import threading
-from typing import Any, Protocol
+from typing import Any
 
 from repro.net.errors import ProtocolError
 
 __all__ = [
     "CODEC_BINARY",
-    "CODEC_IDS",
-    "CODEC_JSON",
-    "Codec",
     "PostingList",
-    "codec_by_id",
-    "codec_by_name",
     "decode_value_binary",
-    "decode_value_json",
+    "decode_value_exact",
     "encode_value_binary",
-    "encode_value_json",
     "new_buffer",
     "read_str",
     "read_uvarint",
@@ -73,11 +54,9 @@ __all__ = [
     "write_varint",
 ]
 
-CODEC_JSON = 1
+# The codec-id byte every v2 wire frame carries after its version byte.
 CODEC_BINARY = 2
-CODEC_IDS = (CODEC_JSON, CODEC_BINARY)
 
-_TAG = "!"
 _DOUBLE = struct.Struct("!d")
 
 # Binary type bytes.  One byte per value; containers carry a varint
@@ -94,7 +73,7 @@ _T_LIST = 0x06
 _T_TUPLE = 0x07
 _T_SET = 0x08
 _T_FROZENSET = 0x09
-_T_DICT = 0x0A  # all-str keys, no tag-escape needed (unlike JSON)
+_T_DICT = 0x0A  # all-str keys
 _T_DICT_ANY = 0x0B  # arbitrary encodable keys
 _T_POSTINGS = 0x0C
 
@@ -234,8 +213,8 @@ def _sorted_items(value) -> list:
 def encode_value_binary(buffer: bytearray, value: Any) -> None:
     """Append one value in the binary encoding.
 
-    Sets are serialized in sorted order, exactly like the JSON codec,
-    so identical values always produce identical bytes on either codec.
+    Sets are serialized in sorted order, so identical values always
+    produce identical bytes.
     """
     kind = type(value)
     if kind is str:
@@ -392,142 +371,24 @@ def decode_value_binary(data, position: int) -> tuple[Any, int]:
     raise ProtocolError(f"unknown binary type byte 0x{tag:02x}")
 
 
-# -- JSON value encoding (the v1 tagged lowering) --------------------------
+def decode_value_exact(data, position: int = 0) -> Any:
+    """Decode the one value that fills ``data`` from ``position`` on.
 
+    The whole-payload entry point of wire frames and WAL records: any
+    malformed input — truncated, an unknown type byte, bad UTF-8, or
+    bytes left over after the value — raises
+    :class:`~repro.net.errors.ProtocolError`.
 
-def encode_value_json(value: Any) -> Any:
-    """Lower a payload value to pure-JSON types, tagging the rest."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, list):
-        return [encode_value_json(item) for item in value]
-    if isinstance(value, tuple):
-        return {_TAG: "tuple", "v": [encode_value_json(item) for item in value]}
-    if isinstance(value, (set, frozenset)):
-        tag = "set" if isinstance(value, set) else "frozenset"
-        # Sort for deterministic bytes when items are comparable.
-        return {_TAG: tag, "v": [encode_value_json(item) for item in _sorted_items(value)]}
-    if isinstance(value, dict):
-        if _TAG in value or not all(isinstance(key, str) for key in value):
-            return {
-                _TAG: "dict",
-                "v": [
-                    [encode_value_json(key), encode_value_json(item)]
-                    for key, item in value.items()
-                ],
-            }
-        return {key: encode_value_json(item) for key, item in value.items()}
-    raise ProtocolError(f"cannot encode {type(value).__name__} on the wire: {value!r}")
-
-
-def decode_value_json(value: Any) -> Any:
-    """Invert :func:`encode_value_json`."""
-    if isinstance(value, list):
-        return [decode_value_json(item) for item in value]
-    if isinstance(value, dict):
-        tag = value.get(_TAG)
-        if tag is None:
-            return {key: decode_value_json(item) for key, item in value.items()}
-        items = value.get("v")
-        if not isinstance(items, list):
-            raise ProtocolError(f"tagged value {tag!r} without a list body")
-        if tag == "tuple":
-            return tuple(decode_value_json(item) for item in items)
-        if tag == "set":
-            return {decode_value_json(item) for item in items}
-        if tag == "frozenset":
-            return frozenset(decode_value_json(item) for item in items)
-        if tag == "dict":
-            try:
-                return {decode_value_json(key): decode_value_json(item) for key, item in items}
-            except (TypeError, ValueError) as error:
-                raise ProtocolError(f"malformed tagged dict: {error}") from error
-        raise ProtocolError(f"unknown wire tag {tag!r}")
-    return value
-
-
-# -- the codec objects -----------------------------------------------------
-
-
-class Codec(Protocol):
-    """One self-contained value serialization.
-
-    ``encode_into`` appends the serialized value to a caller-owned
-    buffer (the reusable-``bytearray`` discipline); ``decode`` reads
-    one value from a bytes-like object and must consume it fully.
+    >>> buffer = bytearray()
+    >>> encode_value_binary(buffer, {"kw": frozenset({"dht"})})
+    >>> decode_value_exact(buffer)
+    {'kw': frozenset({'dht'})}
     """
-
-    id: int
-    name: str
-
-    def encode_into(self, buffer: bytearray, value: Any) -> None: ...
-
-    def decode(self, data) -> Any: ...
-
-
-class _JsonCodec:
-    id = CODEC_JSON
-    name = "json"
-
-    def encode_into(self, buffer: bytearray, value: Any) -> None:
-        try:
-            buffer += json.dumps(
-                encode_value_json(value), separators=(",", ":"), allow_nan=False
-            ).encode("utf-8")
-        except (TypeError, ValueError) as error:
-            raise ProtocolError(f"unencodable payload: {error}") from error
-
-    def decode(self, data) -> Any:
-        try:
-            return decode_value_json(json.loads(bytes(data).decode("utf-8")))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise ProtocolError(f"malformed JSON payload: {error}") from error
-
-
-class _BinaryCodec:
-    id = CODEC_BINARY
-    name = "binary"
-
-    def encode_into(self, buffer: bytearray, value: Any) -> None:
-        try:
-            encode_value_binary(buffer, value)
-        except (TypeError, AttributeError, OverflowError, struct.error) as error:
-            raise ProtocolError(f"unencodable payload: {error}") from error
-
-    def decode(self, data) -> Any:
-        view = data if isinstance(data, memoryview) else memoryview(data)
-        try:
-            value, position = decode_value_binary(view, 0)
-        except (IndexError, ValueError) as error:
-            raise ProtocolError(f"malformed binary payload: {error}") from error
-        if position != len(view):
-            raise ProtocolError(
-                f"trailing bytes after binary payload ({len(view) - position} left)"
-            )
-        return value
-
-
-JSON_CODEC = _JsonCodec()
-BINARY_CODEC = _BinaryCodec()
-
-_BY_ID = {CODEC_JSON: JSON_CODEC, CODEC_BINARY: BINARY_CODEC}
-_BY_NAME = {"json": JSON_CODEC, "binary": BINARY_CODEC}
-
-
-def codec_by_id(codec_id: int) -> Codec:
-    codec = _BY_ID.get(codec_id)
-    if codec is None:
-        raise ProtocolError(f"unknown codec id {codec_id!r}")
-    return codec
-
-
-def codec_by_name(name) -> Codec:
-    """Resolve ``"json"`` / ``"binary"`` (or an enum holding one, or an
-    already-resolved codec) to the codec object."""
-    if isinstance(name, (_JsonCodec, _BinaryCodec)):
-        return name
-    key = getattr(name, "value", name)
-    codec = _BY_NAME.get(key)
-    if codec is None:
-        raise ValueError(f"unknown codec {name!r}; expected one of {sorted(_BY_NAME)}")
-    return codec
+    view = data if isinstance(data, memoryview) else memoryview(data)
+    try:
+        value, position = decode_value_binary(view, position)
+    except (IndexError, ValueError) as error:
+        raise ProtocolError(f"malformed binary payload: {error}") from error
+    if position != len(view):
+        raise ProtocolError(f"trailing bytes after binary payload ({len(view) - position} left)")
+    return value

@@ -147,7 +147,6 @@ class NodeDaemon:
             rpc_timeout=rpc_timeout,
             time_scale=time_scale,
             admission=admission,
-            codec=config.codec,
         )
         store_factory = None
         if data_dir is not None:
@@ -155,11 +154,7 @@ class NodeDaemon:
 
             def store_factory(addr: int):
                 if addr == address:
-                    return FileStore(
-                        base / f"node-{addr}",
-                        metrics=self.transport.metrics,
-                        codec=config.codec,
-                    )
+                    return FileStore(base / f"node-{addr}", metrics=self.transport.metrics)
                 return MemoryStore()
 
         try:
@@ -330,7 +325,6 @@ def _config_from(arguments: argparse.Namespace) -> ServiceConfig:
         dht_bits=arguments.bits,
         seed=arguments.seed,
         prefix_directory=getattr(arguments, "prefix_directory", False),
-        codec=getattr(arguments, "codec", "binary"),
     )
 
 
@@ -409,14 +403,6 @@ def add_node_commands(commands) -> None:
             default=0.0,
             help="backoff hint (transport time units) shipped in T_BUSY replies "
             "(only with --max-inflight)",
-        )
-        subparser.add_argument(
-            "--codec",
-            default="binary",
-            choices=["json", "binary"],
-            help="wire + WAL serialization (docs/protocol.md §18): 'binary' (default) "
-            "negotiates the v2 binary envelope per connection and falls back to JSON "
-            "with v1 peers; 'json' pins the v1 format",
         )
         if not joining:
             subparser.add_argument(

@@ -1,34 +1,21 @@
 """Length-prefixed, versioned wire format for protocol messages.
 
-Two frame layouts share the stream, distinguished by the version byte
-(the codec core behind both lives in :mod:`repro.net.codec`):
-
-**v1 — JSON** (the original format, the rolling-upgrade fallback)::
-
-    +----------------+-----------+----------------------------------+
-    | length (4B BE) | version=1 | JSON envelope (UTF-8), length-1 B |
-    +----------------+-----------+----------------------------------+
-
-    {"t": <frame type>, "kind": ..., "src": ..., "dst": ...,
-     "id": <request id>, "p": <tagged payload>}
-
-**v2 — binary** (the default since the codec refactor)::
+Every frame has one layout (the value encoding behind it lives in
+:mod:`repro.net.codec`)::
 
     +----------------+-----------+----------+-----------------------+
-    | length (4B BE) | version=2 | codec id | codec envelope        |
+    | length (4B BE) | version=2 | codec=2  | binary envelope       |
     +----------------+-----------+----------+-----------------------+
 
 ``length`` covers everything after the header (version byte onward), so
-a reader can size its buffer before parsing.  The v2 envelope under
-codec id 2 (binary) is: frame-type byte, length-prefixed ``kind``,
-zigzag varints for ``src``/``dst``/``id``/``pr``, then the payload in
-the binary value encoding — varint ints, raw UTF-8 strings, one type
-byte per value, and the flat posting-set form for scan replies.  See
-``docs/protocol.md`` §18 for the byte-level layout and the per-
-connection negotiation handshake (a binary-capable peer's first frame
-is v1 JSON carrying the capability advert key ``"cd"``; v1-only
-parsers ignore unknown envelope keys, which is what makes the rolling
-upgrade safe).
+a reader can size its buffer before parsing.  The envelope is: the
+frame-type byte, length-prefixed ``kind``, zigzag varints for
+``src``/``dst``/``id``/``pr``, then the payload in the binary value
+encoding — varint ints, raw UTF-8 strings, one type byte per value, and
+the flat posting-set form for scan replies.  See ``docs/protocol.md``
+§18 for the byte-level layout.  Version 1 (the JSON frames of builds
+that predate the binary codec) is no longer spoken: a v1 frame is
+rejected like any other unknown version.
 
 Frame types: ``req`` (request, expects a reply), ``rep`` (reply,
 ``p`` is the handler's return value), ``err`` (reply, the handler
@@ -40,27 +27,23 @@ carries the queue depth and a retry-after hint — see
 membership exchange carrying epoch-stamped peer-book deltas; handled
 at the transport level, never dispatched to a node handler, and not
 accounted as a protocol message — see :mod:`repro.membership`).  A
-request may carry an admission priority in the optional envelope key
-``"pr"``; zero (the default) is omitted from the v1 bytes, so
-pre-priority traffic encodes identically.
+request carries its admission priority in the ``pr`` field (zero by
+default).
 
-**Tagged payload encoding (v1).**  Protocol payloads are not plain
-JSON: the index layer ships keyword sets as ``frozenset`` and scan
-results as ``(frozenset, tuple)`` pairs (see ``hindex.scan``).  Those
-types round-trip through a tagged object encoding — ``{"!":
-"frozenset", "v": [...]}`` and friends — so a handler behind a socket
-receives *exactly* the payload it would have received in-process,
-which is what makes simulator/socket result equality possible.  The
-binary codec carries the same value domain natively.  Non-finite
-floats are rejected on both paths (JSON via ``allow_nan=False`` —
-``json.dumps`` would otherwise emit the nonstandard ``NaN`` /
-``Infinity`` literals that strict parsers reject).
+**Payloads.**  Protocol payloads are not plain JSON-shaped data: the
+index layer ships keyword sets as ``frozenset`` and scan results as
+``(frozenset, tuple)`` pairs (see ``hindex.scan``).  The binary value
+encoding carries ``tuple``/``set``/``frozenset`` and non-string dict
+keys as their own types, so a handler behind a socket receives
+*exactly* the payload it would have received in-process, which is what
+makes simulator/socket result equality possible.  Non-finite floats
+are rejected at encode time.
 
 **Rejection.**  Anything outside the format raises
 :class:`~repro.net.errors.ProtocolError`: a declared length of zero or
 beyond ``max_frame_bytes`` (both before any payload bytes are read, so
-an attacker cannot make a reader buffer unbounded data), an unknown
-version or codec id, undecodable UTF-8/JSON or malformed binary, a
+an attacker cannot make a reader buffer unbounded data), a version
+other than 2 or a codec id other than 2, malformed binary or a
 malformed envelope, or an unencodable Python type on the sending side.
 Truncated input never hangs a :class:`FrameDecoder` — it simply yields
 nothing until more bytes arrive, and `flush()` reports leftover
@@ -70,15 +53,13 @@ trailing bytes.
 from __future__ import annotations
 
 import enum
-import json
 import struct
 from dataclasses import dataclass
 from typing import Any
 
 from repro.net.codec import (
     CODEC_BINARY,
-    CODEC_JSON,
-    decode_value_binary,
+    decode_value_exact,
     encode_value_binary,
     new_buffer,
     read_str,
@@ -86,8 +67,6 @@ from repro.net.codec import (
     write_str,
     write_varint,
 )
-from repro.net.codec import decode_value_json as decode_value
-from repro.net.codec import encode_value_json as encode_value
 from repro.net.errors import ProtocolError
 
 __all__ = [
@@ -96,19 +75,14 @@ __all__ = [
     "FrameDecoder",
     "FrameType",
     "PROTOCOL_VERSION",
-    "PROTOCOL_VERSION_BINARY",
     "decode_frame",
-    "decode_value",
     "encode_frame",
-    "encode_value",
     "parse_frame_info",
 ]
 
-PROTOCOL_VERSION = 1
-PROTOCOL_VERSION_BINARY = 2
+PROTOCOL_VERSION = 2
 DEFAULT_MAX_FRAME_BYTES = 16 * 1024 * 1024  # 16 MiB
 _HEADER = struct.Struct("!I")
-_ADVERT_KEY = "cd"  # v1 envelope key listing the sender's codec ids
 
 
 class FrameType(enum.Enum):
@@ -120,7 +94,7 @@ class FrameType(enum.Enum):
     GOSSIP = "gos"
 
 
-# v2 frame-type bytes: index into this tuple.  Append-only.
+# Frame-type bytes: index into this tuple.  Append-only.
 _FRAME_TYPES = (
     FrameType.REQUEST,
     FrameType.REPLY,
@@ -138,9 +112,7 @@ class Frame:
 
     ``priority`` is the admission priority of a request (higher keeps a
     request admitted longer under overload; see
-    :mod:`repro.net.admission`).  It rides in the envelope key ``"pr"``
-    and is omitted from the v1 bytes when zero, so frames that predate
-    the field round-trip unchanged.
+    :mod:`repro.net.admission`).
     """
 
     type: FrameType
@@ -152,158 +124,62 @@ class Frame:
     priority: int = 0
 
 
-# -- frame encoding -------------------------------------------------------
+# -- frames -------------------------------------------------------------
 
 
-def encode_frame(
-    frame: Frame,
-    *,
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-    codec: int = CODEC_JSON,
-    advertise: tuple[int, ...] | None = None,
-) -> bytes:
-    """Serialize one frame, header included.
-
-    ``codec`` selects the layout: :data:`~repro.net.codec.CODEC_JSON`
-    (the default) emits a v1 frame byte-identical to the pre-codec
-    format; :data:`~repro.net.codec.CODEC_BINARY` emits a v2 frame.
-    ``advertise`` (JSON frames only) lists codec ids in the ``"cd"``
-    envelope key — the negotiation opener a binary-capable peer sends
-    on a fresh connection.
-    """
-    if codec == CODEC_BINARY:
-        buffer = new_buffer()
-        buffer += b"\x00\x00\x00\x00"  # length, patched below
-        buffer.append(PROTOCOL_VERSION_BINARY)
-        buffer.append(CODEC_BINARY)
-        buffer.append(_TYPE_CODES[frame.type])
-        try:
-            write_str(buffer, frame.kind)
-            write_varint(buffer, frame.src)
-            write_varint(buffer, frame.dst)
-            write_varint(buffer, frame.request_id)
-            write_varint(buffer, frame.priority)
-            encode_value_binary(buffer, frame.payload)
-        except (TypeError, AttributeError, OverflowError) as error:
-            raise ProtocolError(f"unencodable frame payload: {error}") from error
-        length = len(buffer) - _HEADER.size
-        if length > max_frame_bytes:
-            raise ProtocolError(f"frame of {length} bytes exceeds the {max_frame_bytes}-byte cap")
-        _HEADER.pack_into(buffer, 0, length)
-        return bytes(buffer)
-    if codec != CODEC_JSON:
-        raise ProtocolError(f"unknown codec id {codec!r}")
-    envelope = {
-        "t": frame.type.value,
-        "kind": frame.kind,
-        "src": frame.src,
-        "dst": frame.dst,
-        "id": frame.request_id,
-        "p": encode_value(frame.payload),
-    }
-    if frame.priority:
-        envelope["pr"] = frame.priority
-    if advertise:
-        envelope[_ADVERT_KEY] = sorted(advertise)
+def encode_frame(frame: Frame, *, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES) -> bytes:
+    """Serialize one frame, header included."""
+    buffer = new_buffer()
+    buffer += b"\x00\x00\x00\x00"  # length, patched below
+    buffer.append(PROTOCOL_VERSION)
+    buffer.append(CODEC_BINARY)
+    buffer.append(_TYPE_CODES[frame.type])
     try:
-        body = json.dumps(envelope, separators=(",", ":"), allow_nan=False).encode("utf-8")
-    except (TypeError, ValueError) as error:
+        write_str(buffer, frame.kind)
+        write_varint(buffer, frame.src)
+        write_varint(buffer, frame.dst)
+        write_varint(buffer, frame.request_id)
+        write_varint(buffer, frame.priority)
+        encode_value_binary(buffer, frame.payload)
+    except (TypeError, AttributeError, OverflowError) as error:
         raise ProtocolError(f"unencodable frame payload: {error}") from error
-    length = len(body) + 1
+    length = len(buffer) - _HEADER.size
     if length > max_frame_bytes:
         raise ProtocolError(f"frame of {length} bytes exceeds the {max_frame_bytes}-byte cap")
-    return _HEADER.pack(length) + bytes([PROTOCOL_VERSION]) + body
+    _HEADER.pack_into(buffer, 0, length)
+    return bytes(buffer)
 
 
-def _parse_json_envelope(data: bytes) -> tuple[Frame, tuple[int, ...]]:
-    """Decode a JSON envelope; returns ``(frame, advertised codecs)``."""
-    try:
-        envelope = json.loads(bytes(data).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise ProtocolError(f"malformed frame body: {error}") from error
-    if not isinstance(envelope, dict):
-        raise ProtocolError(f"frame envelope must be an object, got {type(envelope).__name__}")
-    try:
-        frame_type = FrameType(envelope["t"])
-        kind = envelope["kind"]
-        src = envelope["src"]
-        dst = envelope["dst"]
-        request_id = envelope["id"]
-    except (KeyError, ValueError) as error:
-        raise ProtocolError(f"malformed frame envelope: {error}") from error
-    if not isinstance(kind, str) or not isinstance(src, int) or not isinstance(dst, int):
-        raise ProtocolError("frame envelope fields have wrong types")
-    if not isinstance(request_id, int):
-        raise ProtocolError("frame request id must be an integer")
-    priority = envelope.get("pr", 0)
-    if not isinstance(priority, int) or isinstance(priority, bool):
-        raise ProtocolError("frame priority must be an integer")
-    advert = envelope.get(_ADVERT_KEY)
-    advertised: tuple[int, ...] = ()
-    if isinstance(advert, list) and all(
-        isinstance(item, int) and not isinstance(item, bool) for item in advert
-    ):
-        advertised = tuple(advert)
-    frame = Frame(
-        frame_type, kind, src, dst, request_id, decode_value(envelope.get("p")), priority
-    )
-    return frame, advertised
+def parse_frame_info(data: bytes) -> tuple[Frame, int]:
+    """Decode one frame body (no length header).
 
-
-def _parse_binary_envelope(view: memoryview) -> Frame:
-    """Decode a v2 binary envelope (after the version and codec bytes)."""
-    try:
-        type_code = view[0]
-        if type_code >= len(_FRAME_TYPES):
-            raise ProtocolError(f"unknown frame type byte 0x{type_code:02x}")
-        kind, position = read_str(view, 1)
-        src, position = read_varint(view, position)
-        dst, position = read_varint(view, position)
-        request_id, position = read_varint(view, position)
-        priority, position = read_varint(view, position)
-        payload, position = decode_value_binary(view, position)
-    except (IndexError, ValueError) as error:
-        raise ProtocolError(f"malformed binary frame: {error}") from error
-    if position != len(view):
-        raise ProtocolError(
-            f"trailing bytes after binary frame ({len(view) - position} left)"
-        )
-    return Frame(_FRAME_TYPES[type_code], kind, src, dst, request_id, payload, priority)
-
-
-def parse_frame_info(data: bytes) -> tuple[Frame, int, tuple[int, ...]]:
-    """Decode one frame body (no length header), with negotiation info.
-
-    Returns ``(frame, codec id the frame arrived in, codec ids the
-    sender advertised)``.  A v2 frame implies the sender speaks both
-    codecs; a v1 frame advertises only through the ``"cd"`` key.
+    Returns ``(frame, body size in bytes)``, the shape
+    :func:`decode_frame` returns for a whole frame.
     """
     if not data:
         raise ProtocolError("empty frame body")
     version = data[0]
-    if version == PROTOCOL_VERSION:
-        frame, advertised = _parse_json_envelope(data[1:])
-        return frame, CODEC_JSON, advertised
-    if version == PROTOCOL_VERSION_BINARY:
-        if len(data) < 2:
-            raise ProtocolError("binary frame missing its codec id byte")
-        codec_id = data[1]
-        if codec_id == CODEC_BINARY:
-            frame = _parse_binary_envelope(memoryview(data)[2:])
-            return frame, CODEC_BINARY, (CODEC_JSON, CODEC_BINARY)
-        if codec_id == CODEC_JSON:
-            frame, advertised = _parse_json_envelope(data[2:])
-            return frame, CODEC_JSON, advertised or (CODEC_JSON, CODEC_BINARY)
-        raise ProtocolError(f"unknown codec id {codec_id} in v2 frame")
-    raise ProtocolError(
-        f"unsupported wire version {version} "
-        f"(speaking {PROTOCOL_VERSION}/{PROTOCOL_VERSION_BINARY})"
-    )
-
-
-def _parse_body(data: bytes) -> Frame:
-    """Decode version byte + envelope (no length header)."""
-    return parse_frame_info(data)[0]
+    if version != PROTOCOL_VERSION:
+        raise ProtocolError(f"unsupported wire version {version} (speaking {PROTOCOL_VERSION})")
+    if len(data) < 2:
+        raise ProtocolError("frame missing its codec id byte")
+    if data[1] != CODEC_BINARY:
+        raise ProtocolError(f"unknown codec id {data[1]} in v{PROTOCOL_VERSION} frame")
+    view = memoryview(data)
+    try:
+        type_code = view[2]
+        if type_code >= len(_FRAME_TYPES):
+            raise ProtocolError(f"unknown frame type byte 0x{type_code:02x}")
+        kind, position = read_str(view, 3)
+        src, position = read_varint(view, position)
+        dst, position = read_varint(view, position)
+        request_id, position = read_varint(view, position)
+        priority, position = read_varint(view, position)
+    except (IndexError, ValueError) as error:
+        raise ProtocolError(f"malformed binary frame: {error}") from error
+    payload = decode_value_exact(view, position)
+    frame = Frame(_FRAME_TYPES[type_code], kind, src, dst, request_id, payload, priority)
+    return frame, len(data)
 
 
 def decode_frame(
@@ -319,7 +195,7 @@ def decode_frame(
     if declared is None or len(data) < _HEADER.size + declared:
         raise ProtocolError("truncated frame")
     body = data[_HEADER.size : _HEADER.size + declared]
-    return _parse_body(body), _HEADER.size + declared
+    return parse_frame_info(body)[0], _HEADER.size + declared
 
 
 def _declared_length(buffer, max_frame_bytes: int) -> int | None:
@@ -343,8 +219,7 @@ def _declared_length(buffer, max_frame_bytes: int) -> int | None:
 class FrameDecoder:
     """Incremental frame parser for a byte stream.
 
-    Feed arbitrarily-chunked bytes; complete frames come out (either
-    wire version, transparently).  Invalid input raises
+    Feed arbitrarily-chunked bytes; complete frames come out.  Invalid input raises
     :class:`~repro.net.errors.ProtocolError` immediately (oversized
     declared lengths are rejected from the 4 header bytes alone);
     incomplete input never blocks or raises — the decoder just waits
@@ -370,7 +245,7 @@ class FrameDecoder:
                     break
                 body = bytes(self._buffer[_HEADER.size : _HEADER.size + declared])
                 del self._buffer[: _HEADER.size + declared]
-                frames.append(_parse_body(body))
+                frames.append(parse_frame_info(body)[0])
         except ProtocolError:
             self._poisoned = True
             raise

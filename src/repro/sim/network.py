@@ -32,10 +32,8 @@ from collections import Counter
 from contextlib import contextmanager
 from typing import Any, Iterator
 
-from repro.net.codec import codec_by_name
 from repro.net.errors import NodeBusyError, PeerUnreachableError, TransportError
 from repro.net.transport import Handler, Message, MessageTrace, RpcCall, RpcOutcome
-from repro.net.wire import Frame, FrameType, encode_frame
 from repro.obs.trace import active_recorder
 from repro.sim.events import EventScheduler
 from repro.sim.latency import ConstantLatency, LatencyModel
@@ -48,9 +46,6 @@ __all__ = [
     "NodeUnreachableError",
     "SimulatedNetwork",
 ]
-
-
-_UNMEASURED = object()  # sentinel: "size the accounting Message's own payload"
 
 
 class NetworkError(TransportError):
@@ -84,25 +79,10 @@ class SimulatedNetwork:
         scheduler: EventScheduler | None = None,
         latency: LatencyModel | None = None,
         metrics: MetricsRegistry | None = None,
-        *,
-        measure_bytes: bool = False,
-        codec: str = "binary",
     ):
-        """``measure_bytes=True`` additionally encodes every message
-        through the wire codec (``codec``, ``"binary"`` or ``"json"``)
-        and accumulates the frame sizes into ``net.bytes_sent`` — the
-        same counter :class:`~repro.net.aio.AsyncioTransport`
-        maintains — so simulator bandwidth rows in the benchmarks are
-        codec-true and comparable across media.  Off by default: the
-        encoding pass costs real time per message and the experiments'
-        published numbers count messages, not bytes."""
         self.scheduler = scheduler if scheduler is not None else EventScheduler()
         self.latency = latency if latency is not None else ConstantLatency(1.0)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.measure_bytes = measure_bytes
-        wire_codec = codec_by_name(codec)
-        self.codec = wire_codec.name
-        self._codec_id = wire_codec.id
         self._handlers: dict[int, Handler] = {}
         self._failed: set[int] = set()
         self._loss_rate: float = 0.0
@@ -241,7 +221,7 @@ class SimulatedNetwork:
         self.scheduler.advance(self.latency.delay(src, dst))
         result = self._handlers[dst](request)
         reply = Message(dst, src, kind, {}, is_reply=True)
-        self._account(reply, payload=result)
+        self._account(reply)
         self.scheduler.advance(self.latency.delay(dst, src))
         return result
 
@@ -289,10 +269,7 @@ class SimulatedNetwork:
                 self._shed_if_busy(request)
                 self._account(request)
                 result = self._handlers[call.dst](request)
-                self._account(
-                    Message(call.dst, call.src, call.kind, {}, is_reply=True),
-                    payload=result,
-                )
+                self._account(Message(call.dst, call.src, call.kind, {}, is_reply=True))
                 round_trip = self.latency.delay(call.src, call.dst) + self.latency.delay(
                     call.dst, call.src
                 )
@@ -327,7 +304,7 @@ class SimulatedNetwork:
         experiments do not accumulate millions of pending events.
         """
         message = Message(src, dst, kind, payload or {})
-        self._account(message, frame_type=FrameType.DATAGRAM)
+        self._account(message)
         if not deliver:
             return
         if src == dst:
@@ -360,13 +337,7 @@ class SimulatedNetwork:
             raise NodeUnreachableError(request.dst)
         return handler(request)
 
-    def _account(
-        self,
-        message: Message,
-        *,
-        frame_type: FrameType | None = None,
-        payload: Any = _UNMEASURED,
-    ) -> None:
+    def _account(self, message: Message) -> None:
         self.metrics.increment("network.messages")
         self.kind_counts[message.kind] += 1
         if not message.is_reply:
@@ -376,15 +347,3 @@ class SimulatedNetwork:
         recorder = active_recorder()
         if recorder is not None:
             recorder.raw.append(message)
-        if self.measure_bytes:
-            # Codec-true sizing: build the frame the TCP transport would
-            # put on the wire for this message — reply frames carry the
-            # handler's actual result (`payload`), not the empty dict the
-            # accounting Message holds — and charge its encoded length.
-            if frame_type is None:
-                frame_type = FrameType.REPLY if message.is_reply else FrameType.REQUEST
-            body = message.payload if payload is _UNMEASURED else payload
-            frame = Frame(frame_type, message.kind, message.src, message.dst, 0, body)
-            self.metrics.increment(
-                "net.bytes_sent", len(encode_frame(frame, codec=self._codec_id))
-            )

@@ -36,7 +36,6 @@ import time
 from pathlib import Path
 from typing import Callable, Iterable
 
-from repro.net.codec import codec_by_name
 from repro.obs.trace import active_recorder
 from repro.store.backend import RecoveredState
 from repro.store.wal import (
@@ -70,22 +69,19 @@ class FileStore:
         fsync: bool = False,
         compact_every: int = 4096,
         metrics=None,
-        codec: str = "binary",
     ):
         """``compact_every`` WAL appends trigger a snapshot (0 disables
         automatic compaction); ``metrics`` is a
         :class:`~repro.sim.metrics.MetricsRegistry` the store reports
         ``store.*`` counters and series into (the service binds the
-        transport's registry here).  ``codec`` selects the record
-        encoding for *writes* (``"binary"`` v2 by default, ``"json"``
-        the v1 fallback); recovery reads either, per record, so a
-        directory written under one codec reopens under the other."""
+        transport's registry here).  Writes are v2 (binary) records;
+        recovery also reads the v1 (JSON) records older data
+        directories hold."""
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.fsync = fsync
         self.compact_every = compact_every
         self.metrics = metrics
-        self.codec = codec_by_name(codec).name
         self._wal = None
         self._recovered: RecoveredState | None = None
         self._seq = 0
@@ -225,24 +221,20 @@ class FileStore:
 
     def _append(self, record: StoreRecord) -> None:
         self._append_frame(
-            encode_record(record, self.codec), record.op, record.namespace,
+            encode_record(record), record.op, record.namespace,
             record.logical, record.object_id,
         )
 
     def record_put(
         self, namespace: str, logical: int, keywords: Iterable[str], object_id: str
     ) -> None:
-        frame = encode_entry_op(
-            "put", namespace, logical, tuple(sorted(keywords)), object_id, self.codec
-        )
+        frame = encode_entry_op("put", namespace, logical, tuple(sorted(keywords)), object_id)
         self._append_frame(frame, "put", namespace, logical, object_id)
 
     def record_remove(
         self, namespace: str, logical: int, keywords: Iterable[str], object_id: str
     ) -> None:
-        frame = encode_entry_op(
-            "remove", namespace, logical, tuple(sorted(keywords)), object_id, self.codec
-        )
+        frame = encode_entry_op("remove", namespace, logical, tuple(sorted(keywords)), object_id)
         self._append_frame(frame, "remove", namespace, logical, object_id)
 
     def record_drop(self, namespace: str, logical: int) -> None:
@@ -250,12 +242,12 @@ class FileStore:
 
     def record_ref_put(self, object_id: str, holder: int) -> None:
         self._append_frame(
-            encode_ref_op("ref_put", object_id, holder, self.codec), "ref_put", "", 0, object_id
+            encode_ref_op("ref_put", object_id, holder), "ref_put", "", 0, object_id
         )
 
     def record_ref_del(self, object_id: str, holder: int) -> None:
         self._append_frame(
-            encode_ref_op("ref_del", object_id, holder, self.codec), "ref_del", "", 0, object_id
+            encode_ref_op("ref_del", object_id, holder), "ref_del", "", 0, object_id
         )
 
     # -- snapshot + compaction ----------------------------------------
@@ -285,7 +277,7 @@ class FileStore:
         tmp = snapshot_file.with_suffix(".tmp")
         with open(tmp, "wb") as handle:
             for record in records:
-                handle.write(encode_record(record, self.codec))
+                handle.write(encode_record(record))
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, snapshot_file)

@@ -11,19 +11,20 @@ snapshot.  On disk every record is one frame::
 
 ``length`` covers the body (version byte + payload); ``crc32`` is over
 the same bytes, so a torn or bit-flipped tail is detected before any
-payload parsing.  The version byte selects the payload codec — the
-same codec core the wire format uses (:mod:`repro.net.codec`):
+payload parsing.  The version byte says how the payload is encoded:
 
-* ``1`` — the record's fields lowered through the tagged-JSON
-  encoding, keys sorted (the original format; still written when the
-  store is pinned to the JSON codec, always still readable).
-* ``2`` — the same field dict in the binary value encoding, keys in
-  sorted order (varint ints, length-prefixed raw-UTF-8 strings).
+* ``2`` — the record's field dict in the binary value encoding the
+  wire format uses (:mod:`repro.net.codec`), keys in sorted order
+  (varint ints, length-prefixed raw-UTF-8 strings).  Every record this
+  module writes is v2, so identical state always produces identical
+  bytes.
+* ``1`` — the same field dict as tagged JSON, keys sorted: the format
+  of data directories written before the binary codec existed.  It is
+  read, never written.
 
-Identical state always produces identical bytes under either codec.
-Recovery auto-detects per record, so a WAL whose head predates the
-binary codec and whose tail postdates it — the rolling-upgrade restart
-— replays seamlessly; there is no file-level codec marker to migrate.
+Recovery reads each record by its own version byte, so a WAL whose head
+holds v1 records and whose tail holds v2 records replays seamlessly;
+there is no file-level format marker to migrate.
 
 Replay is pure: :func:`decode_records` walks a byte string and stops at
 the first frame that is incomplete or fails its CRC (the torn tail a
@@ -43,13 +44,8 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.net.codec import (
-    CODEC_BINARY,
-    CODEC_JSON,
-    codec_by_name,
-    decode_value_binary,
-    decode_value_json,
+    decode_value_exact,
     encode_value_binary,
-    encode_value_json,
     new_buffer,
     write_uvarint,
 )
@@ -63,12 +59,11 @@ __all__ = [
     "apply_record",
     "decode_records",
     "encode_record",
-    "encode_record_generic",
     "entry_records",
     "replay",
 ]
 
-WAL_VERSION = 1  # JSON-payload records
+WAL_VERSION = 1  # JSON-payload records: read, never written
 WAL_VERSION_BINARY = 2  # binary-payload records
 # A single record is one index entry or reference — far below this; the
 # cap exists so a corrupted length field cannot demand an absurd read.
@@ -130,22 +125,16 @@ def _seal(buffer: bytearray) -> bytes:
     return bytes(buffer)
 
 
-def _frame_payload(payload: dict[str, Any], codec_id: int) -> bytes:
-    """Frame one record body: version byte + codec-encoded payload.
+def _frame_payload(payload: dict[str, Any]) -> bytes:
+    """Frame one record body: version byte + binary-encoded payload.
 
-    ``payload`` must be built in sorted-key order — both codecs then
-    emit deterministic bytes (JSON additionally sorts on its own).
+    ``payload`` must be built in sorted-key order, so equal records
+    encode to equal bytes.
     """
     buffer = new_buffer()
     buffer += _HEADER_HOLE
-    if codec_id == CODEC_JSON:
-        buffer.append(WAL_VERSION)
-        buffer += json.dumps(
-            encode_value_json(payload), sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
-    else:
-        buffer.append(WAL_VERSION_BINARY)
-        encode_value_binary(buffer, payload)
+    buffer.append(WAL_VERSION_BINARY)
+    encode_value_binary(buffer, payload)
     return _seal(buffer)
 
 
@@ -155,17 +144,11 @@ def encode_entry_op(
     logical: int,
     keywords: tuple[str, ...],
     object_id: str,
-    codec: str = "binary",
 ) -> bytes:
     """Frame a ``put``/``remove`` from bare fields (the hot write path —
     no :class:`StoreRecord` built, no generic dispatch; byte-identical
     to :func:`encode_record` on the equivalent record, a property the
     store tests pin)."""
-    if codec != "binary" and codec_by_name(codec).id != CODEC_BINARY:
-        return _frame_payload(
-            {"id": object_id, "kw": keywords, "lg": logical, "ns": namespace, "op": op},
-            CODEC_JSON,
-        )
     buffer = new_buffer()
     append = buffer.append
     buffer += _HEADER_HOLE
@@ -206,10 +189,9 @@ def encode_entry_op(
     return _seal(buffer)
 
 
-def encode_ref_op(op: str, object_id: str, holder: int, codec: str = "binary") -> bytes:
-    """Frame a ``ref_put``/``ref_del`` from bare fields."""
-    if codec != "binary" and codec_by_name(codec).id != CODEC_BINARY:
-        return _frame_payload({"h": holder, "id": object_id, "op": op}, CODEC_JSON)
+def encode_ref_op(op: str, object_id: str, holder: int) -> bytes:
+    """Frame a ``ref_put``/``ref_del`` from bare fields (byte-identical
+    to :func:`encode_record` on the equivalent record)."""
     buffer = new_buffer()
     append = buffer.append
     buffer += _HEADER_HOLE
@@ -255,26 +237,42 @@ def _record_payload(record: StoreRecord) -> dict[str, Any]:
     return payload
 
 
-def encode_record(record: StoreRecord, codec: str = "binary") -> bytes:
+def encode_record(record: StoreRecord) -> bytes:
     """Serialize one record, frame header included."""
-    return _frame_payload(_record_payload(record), codec_by_name(codec).id)
+    return _frame_payload(_record_payload(record))
 
 
-# The hand-assembled per-op JSON encoder this module used to carry is
-# gone: both codecs now run through the shared core, and the old
-# "generic reference encoder" *is* the encoder.
-encode_record_generic = encode_record
+def _untag_json(value: Any) -> Any:
+    """Rebuild a v1 record's tagged-JSON value: ``{"!": "tuple" |
+    "set" | "frozenset" | "dict", "v": [...]}`` wrappers become the
+    Python types they stand for."""
+    if isinstance(value, list):
+        return [_untag_json(item) for item in value]
+    if not isinstance(value, dict):
+        return value
+    tag = value.get("!")
+    if tag is None:
+        return {key: _untag_json(item) for key, item in value.items()}
+    items = value.get("v")
+    if not isinstance(items, list):
+        raise ValueError(f"tagged value {tag!r} without a list body")
+    if tag == "tuple":
+        return tuple(_untag_json(item) for item in items)
+    if tag == "set":
+        return {_untag_json(item) for item in items}
+    if tag == "frozenset":
+        return frozenset(_untag_json(item) for item in items)
+    if tag == "dict":
+        return {_untag_json(key): _untag_json(item) for key, item in items}
+    raise ValueError(f"unknown tag {tag!r} in v1 record")
 
 
 def _decode_body(body: bytes) -> StoreRecord:
     version = body[0]
-    if version == WAL_VERSION:
-        payload = decode_value_json(json.loads(body[1:].decode("utf-8")))
-    elif version == WAL_VERSION_BINARY:
-        view = memoryview(body)
-        payload, position = decode_value_binary(view, 1)
-        if position != len(view):
-            raise ValueError(f"trailing bytes after record ({len(view) - position} left)")
+    if version == WAL_VERSION_BINARY:
+        payload = decode_value_exact(body, 1)
+    elif version == WAL_VERSION:
+        payload = _untag_json(json.loads(body[1:].decode("utf-8")))
     else:
         raise ValueError(
             f"unsupported WAL version {version} "
@@ -317,8 +315,8 @@ def decode_records(data: bytes) -> WalDecodeResult:
 
     Never raises on bad input: decoding stops at the first incomplete,
     CRC-failing, or malformed frame, and everything from there on is
-    reported as the torn tail.  Each record's codec is detected from
-    its own version byte, so mixed JSON/binary files replay.
+    reported as the torn tail.  Each record is read by its own version
+    byte, so files mixing v1 and v2 records replay.
     """
     records: list[StoreRecord] = []
     offset = 0

@@ -36,18 +36,22 @@ class TestBusyWire:
         assert decoded == frame
         assert consumed == len(data)
 
+    # Envelope offset of the ``pr`` varint for kind "k": 4-byte length,
+    # version, codec id, frame type, kind (2 bytes), src, dst, id.
+    PR_OFFSET = 12
+
     def test_priority_rides_the_pr_key_and_round_trips(self):
         frame = Frame(FrameType.REQUEST, "k", 1, 2, 3, {"x": 1}, priority=2)
         data = encode_frame(frame)
-        assert b'"pr"' in data
+        assert data[self.PR_OFFSET] == 4  # zigzag(2)
         decoded, _ = decode_frame(data)
         assert decoded.priority == 2
 
-    def test_zero_priority_is_omitted_from_the_bytes(self):
-        # Pre-priority traffic must encode identically.
+    def test_zero_priority_is_one_zero_byte(self):
         frame = Frame(FrameType.REQUEST, "k", 1, 2, 3, {"x": 1})
-        assert b'"pr"' not in encode_frame(frame)
-        decoded, _ = decode_frame(encode_frame(frame))
+        data = encode_frame(frame)
+        assert data[self.PR_OFFSET] == 0
+        decoded, _ = decode_frame(data)
         assert decoded.priority == 0
 
 

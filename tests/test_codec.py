@@ -1,10 +1,9 @@
 """Tests for the codec core (repro.net.codec).
 
-The load-bearing property: the JSON and binary codecs carry the *same*
-value domain, and for any value in that domain both round-trip it to an
-equal value — so a payload produced by any layer (wire, WAL, scans)
-survives either medium, which is what makes per-connection negotiation
-and per-record WAL auto-detection safe.
+The load-bearing property: every value in the protocol's value domain
+round-trips through the binary encoding to an equal value of the same
+type — so a payload produced by any layer (wire, WAL, scans) reaches
+its consumer exactly as it was built.
 """
 
 import math
@@ -14,13 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.codec import (
-    BINARY_CODEC,
-    CODEC_BINARY,
-    CODEC_JSON,
-    JSON_CODEC,
     PostingList,
-    codec_by_id,
-    codec_by_name,
+    decode_value_exact,
+    encode_value_binary,
     new_buffer,
     read_str,
     read_uvarint,
@@ -30,18 +25,21 @@ from repro.net.codec import (
     write_varint,
 )
 from repro.net.errors import ProtocolError
+from repro.net.wire import Frame, FrameType, decode_frame, encode_frame
 
-CODECS = [JSON_CODEC, BINARY_CODEC]
 
-
-def encode(codec, value) -> bytes:
+def encode(value) -> bytes:
     buffer = bytearray()
-    codec.encode_into(buffer, value)
+    encode_value_binary(buffer, value)
     return bytes(buffer)
 
 
-def roundtrip(codec, value):
-    return codec.decode(encode(codec, value))
+def roundtrip(value):
+    return decode_value_exact(encode(value))
+
+
+def frame_with(payload) -> Frame:
+    return Frame(FrameType.REPLY, "hindex.scan", 1, 2, 3, payload)
 
 
 # -- hypothesis strategies --------------------------------------------------
@@ -88,15 +86,12 @@ posting_rows = st.lists(
 class TestRoundTripProperties:
     @settings(max_examples=300)
     @given(values)
-    def test_both_codecs_roundtrip(self, value):
-        for codec in CODECS:
-            assert roundtrip(codec, value) == value
-
-    @settings(max_examples=300)
-    @given(values)
-    def test_cross_codec_equality(self, value):
-        """What one codec carries, the other carries — to an equal value."""
-        assert roundtrip(JSON_CODEC, value) == roundtrip(BINARY_CODEC, value)
+    def test_value_roundtrip(self, value):
+        """Every value survives both as a bare value and as a frame
+        payload."""
+        assert roundtrip(value) == value
+        decoded, _ = decode_frame(encode_frame(frame_with(value)))
+        assert decoded.payload == value
 
     @given(st.integers())
     def test_signed_varint_roundtrip(self, value):
@@ -124,98 +119,90 @@ class TestRoundTripProperties:
 
     @given(posting_rows)
     def test_posting_list_roundtrip(self, rows):
-        decoded = roundtrip(BINARY_CODEC, rows)
+        decoded = roundtrip(rows)
         assert type(decoded) is PostingList
         assert decoded == rows
-        # The JSON codec sees the same rows as generic nested values.
-        assert roundtrip(JSON_CODEC, rows) == list(rows)
 
     @settings(max_examples=100)
     @given(values)
     def test_encode_determinism(self, value):
-        """Same value, same bytes — within a codec (sets are sorted)."""
-        for codec in CODECS:
-            assert encode(codec, value) == encode(codec, value)
+        """Same value, same bytes (sets are sorted)."""
+        assert encode(value) == encode(value)
 
 
 class TestValueDomain:
     def test_type_fidelity(self):
-        """tuple/set/frozenset/int-keyed-dict survive both codecs *as
-        their own types* — the whole point of the tagged encodings."""
+        """tuple/set/frozenset/int-keyed-dict survive *as their own
+        types* — the whole point of one type byte per value."""
         value = {
             "t": (1, 2),
             "s": {"a", "b"},
             "f": frozenset({3}),
             "d": {7: "seven", (1, 2): "pair"},
         }
-        for codec in CODECS:
-            decoded = roundtrip(codec, value)
-            assert decoded == value
-            assert type(decoded["t"]) is tuple
-            assert type(decoded["s"]) is set
-            assert type(decoded["f"]) is frozenset
+        decoded = roundtrip(value)
+        assert decoded == value
+        assert type(decoded["t"]) is tuple
+        assert type(decoded["s"]) is set
+        assert type(decoded["f"]) is frozenset
 
     def test_plain_list_does_not_become_posting_list(self):
         rows = [(frozenset({"k"}), ("o",))]
-        decoded = roundtrip(BINARY_CODEC, rows)
+        decoded = roundtrip(rows)
         assert decoded == rows
         assert type(decoded) is list
 
     def test_varint_magnitude_edges(self):
         for value in (0, -1, 1, 63, 64, 127, 128, -128, 2**63, -(2**63), 2**200, -(2**200)):
-            for codec in CODECS:
-                assert roundtrip(codec, value) == value
+            assert roundtrip(value) == value
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_floats_rejected_by_both(self, bad):
-        for codec in CODECS:
-            with pytest.raises(ProtocolError):
-                encode(codec, bad)
+        """Both entry points refuse: the value encoder and the frame
+        encoder."""
+        with pytest.raises(ProtocolError):
+            encode(bad)
+        with pytest.raises(ProtocolError):
+            encode_frame(frame_with({"p99": bad}))
 
     def test_unencodable_rejected_by_both(self):
-        for codec in CODECS:
-            with pytest.raises(ProtocolError):
-                encode(codec, object())
+        with pytest.raises(ProtocolError):
+            encode(object())
+        with pytest.raises(ProtocolError):
+            encode_frame(frame_with({"blob": object()}))
 
 
 class TestBinaryMalformed:
     def test_trailing_bytes_rejected(self):
-        data = encode(BINARY_CODEC, {"a": 1}) + b"\x00"
+        data = encode({"a": 1}) + b"\x00"
         with pytest.raises(ProtocolError, match="trailing"):
-            BINARY_CODEC.decode(data)
+            decode_value_exact(data)
 
     def test_unknown_type_byte(self):
         with pytest.raises(ProtocolError, match="type byte"):
-            BINARY_CODEC.decode(b"\xff")
+            decode_value_exact(b"\xff")
 
     def test_truncated_string(self):
-        data = bytearray(encode(BINARY_CODEC, "hello world"))
+        data = encode("hello world")
         with pytest.raises(ProtocolError):
-            BINARY_CODEC.decode(bytes(data[:-3]))
+            decode_value_exact(data[:-3])
 
     def test_truncated_container(self):
-        data = encode(BINARY_CODEC, [1, 2, 3])
+        data = encode([1, 2, 3])
         with pytest.raises(ProtocolError):
-            BINARY_CODEC.decode(data[:-1])
+            decode_value_exact(data[:-1])
 
     def test_empty_input(self):
         with pytest.raises(ProtocolError):
-            BINARY_CODEC.decode(b"")
+            decode_value_exact(b"")
+
+    def test_invalid_utf8_rejected(self):
+        with pytest.raises(ProtocolError):
+            decode_value_exact(b"\x05\x02\xff\xfe")
 
 
 class TestRegistry:
-    def test_by_id(self):
-        assert codec_by_id(CODEC_JSON) is JSON_CODEC
-        assert codec_by_id(CODEC_BINARY) is BINARY_CODEC
-        with pytest.raises(ProtocolError):
-            codec_by_id(99)
-
-    def test_by_name(self):
-        assert codec_by_name("json") is JSON_CODEC
-        assert codec_by_name("binary") is BINARY_CODEC
-        assert codec_by_name(BINARY_CODEC) is BINARY_CODEC
-        with pytest.raises(ValueError):
-            codec_by_name("msgpack")
+    """The per-thread registry of reusable encode buffers."""
 
     def test_new_buffer_is_reused_and_emptied(self):
         first = new_buffer()

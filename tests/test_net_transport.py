@@ -1,5 +1,8 @@
 """Tests for the TCP transport (repro.net.aio) and its resilience hooks."""
 
+import json
+import socket
+import struct
 import threading
 import time
 
@@ -214,6 +217,26 @@ class TestFailureSemantics:
         # Deadline is 300 units = 0.3 s; without the deadline mapping the
         # first attempt alone would block for the 5 s default timeout.
         assert time.monotonic() - started < 2.0
+
+
+class TestMalformedInput:
+    def test_v1_frame_is_rejected_and_the_connection_closed(self, transport):
+        """A frame in the retired v1 JSON format is malformed input: the
+        server counts a protocol error and hangs up, and keeps serving
+        everyone else."""
+        transport.register(1, echo_handler)
+        transport.register(2, echo_handler)
+        before = transport.metrics.counter("net.protocol_errors")
+        envelope = {"t": "req", "kind": "test.echo", "src": 1, "dst": 2, "id": 1, "p": {}}
+        body = bytes([1]) + json.dumps(envelope).encode("utf-8")
+        with socket.create_connection(transport.endpoints[2], timeout=5.0) as raw:
+            raw.sendall(struct.pack("!I", len(body)) + body)
+            # No reply: the server counts the error, then hangs up.
+            assert raw.recv(1024) == b""
+        assert transport.metrics.counter("net.protocol_errors") == before + 1
+        assert transport.rpc(1, 2, "test.echo", {"x": 1}) == {
+            "echo": {"x": 1}, "kind": "test.echo"
+        }
 
 
 class TestLifecycle:

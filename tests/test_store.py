@@ -24,7 +24,7 @@ from repro.store import (
     encode_record,
     replay,
 )
-from repro.store.wal import encode_record_generic, entry_records
+from repro.store.wal import encode_entry_op, encode_ref_op, entry_records
 
 # -- record strategies ----------------------------------------------------
 
@@ -52,6 +52,10 @@ _RECORDS = st.one_of(
         holder=_HOLDERS,
     ),
 )
+
+# Strings and ints wide enough to need multi-byte varint lengths/values.
+_WIDE_TEXT = st.text(max_size=200)
+_WIDE_INT = st.integers(min_value=-(2**70), max_value=2**70)
 
 
 class TestWalProperties:
@@ -84,38 +88,31 @@ class TestWalProperties:
         # Whatever survives is a prefix of what was written.
         assert decoded.records == tuple(records[: len(decoded.records)])
 
+    @settings(max_examples=300)
     @given(
-        record=st.one_of(
-            st.builds(
-                StoreRecord,
-                op=st.sampled_from(["put", "remove"]),
-                namespace=st.text(max_size=10),
-                logical=st.integers(min_value=0, max_value=2**20),
-                keywords=st.lists(st.text(max_size=8), max_size=4).map(tuple),
-                object_id=st.text(max_size=12),
-            ),
-            st.builds(
-                StoreRecord,
-                op=st.just("entry"),
-                namespace=st.text(max_size=10),
-                logical=st.integers(min_value=0, max_value=2**20),
-                keywords=st.lists(st.text(max_size=8), max_size=4).map(tuple),
-                object_ids=st.lists(st.text(max_size=8), max_size=4).map(tuple),
-            ),
-            st.builds(StoreRecord, op=st.just("drop"), namespace=st.text(max_size=10)),
-            st.builds(
-                StoreRecord,
-                op=st.sampled_from(["ref_put", "ref_del"]),
-                object_id=st.text(max_size=12),
-                holder=st.integers(min_value=0, max_value=2**32),
-            ),
-        )
+        entry=st.tuples(
+            st.sampled_from(["put", "remove"]),
+            _WIDE_TEXT,
+            _WIDE_INT,
+            st.lists(st.text(max_size=8), max_size=140).map(tuple),
+            _WIDE_TEXT,
+        ),
+        ref=st.tuples(st.sampled_from(["ref_put", "ref_del"]), _WIDE_TEXT, _WIDE_INT),
     )
-    def test_fast_encoder_matches_reference(self, record):
-        # encode_record hand-assembles the JSON; encode_record_generic
-        # is the executable definition of the format.  Same bytes, for
-        # any field content (unicode, quotes, escapes included).
-        assert encode_record(record) == encode_record_generic(record)
+    def test_fast_encoder_matches_reference(self, entry, ref):
+        # FileStore writes every put/remove/ref through the inlined
+        # encoders; encode_record is the executable definition of the
+        # format.  Same bytes for any field content, including strings
+        # and tuples past the one-byte length and multi-byte varints.
+        op, namespace, logical, keywords, object_id = entry
+        assert encode_entry_op(*entry) == encode_record(
+            StoreRecord(op=op, namespace=namespace, logical=logical,
+                        keywords=keywords, object_id=object_id)
+        )
+        op, object_id, holder = ref
+        assert encode_ref_op(*ref) == encode_record(
+            StoreRecord(op=op, object_id=object_id, holder=holder)
+        )
 
     @given(records=st.lists(_RECORDS, max_size=30))
     def test_roundtrip_is_lossless(self, records):
@@ -260,6 +257,74 @@ class TestFileStore:
         assert metrics.counter("store.recoveries") == 1
         assert metrics.summary("store.recovery_seconds").count == 1
         assert metrics.summary("store.snapshot_bytes").count == 1
+
+
+# WAL records as written by builds that predate the binary codec (v1,
+# tagged JSON) and by the current writer (v2), byte for byte.
+V1_RECORDS = [
+    # put o1 into ("hindex", 5) under {apple, pear}
+    b'\x00\x00\x00T\xb6z\x83\xa2\x01{"id":"o1","kw":{"!":"tuple","v":["apple","pear"]},'
+    b'"lg":5,"ns":"hindex","op":"put"}',
+    # ref_put o1 -> holder 3
+    b'\x00\x00\x00!]\xe1\xb1\x14\x01{"h":3,"id":"o1","op":"ref_put"}',
+    # entry ("hindex", 9) {fig} -> o2, o3
+    b'\x00\x00\x00g\xa7O\x9a?\x01{"ids":{"!":"tuple","v":["o2","o3"]},'
+    b'"kw":{"!":"tuple","v":["fig"]},"lg":9,"ns":"hindex","op":"entry"}',
+]
+V2_RECORDS = [
+    (
+        StoreRecord(op="remove", namespace="hindex", logical=5,
+                    keywords=("apple", "pear"), object_id="o1"),
+        b"\x00\x00\x007c\xc7\xf7\x02\x02\n\x05\x02id\x05\x02o1\x02kw\x07\x02\x05\x05apple"
+        b"\x05\x04pear\x02lg\x03\n\x02ns\x05\x06hindex\x02op\x05\x06remove",
+    ),
+    (
+        StoreRecord(op="put", namespace="hindex", logical=9, keywords=("fig",), object_id="o4"),
+        b"\x00\x00\x00,\xdf\xcb\x86\xff\x02\n\x05\x02id\x05\x02o4\x02kw\x07\x01\x05\x03fig"
+        b"\x02lg\x03\x12\x02ns\x05\x06hindex\x02op\x05\x03put",
+    ),
+    (
+        StoreRecord(op="ref_put", object_id="o4", holder=7),
+        b"\x00\x00\x00\x1a\x96\x1a\x8c<\x02\n\x03\x01h\x03\x0e\x02id\x05\x02o4\x02op\x05\x07ref_put",
+    ),
+]
+
+
+def _record_versions(data: bytes) -> list[int]:
+    """The version byte of every record: the first body byte, after the
+    8-byte (length, crc) frame header."""
+    versions, position = [], 0
+    while position < len(data):
+        length = int.from_bytes(data[position : position + 4], "big")
+        versions.append(data[position + 8])
+        position += 8 + length
+    return versions
+
+
+class TestV1WalReplay:
+    def test_v2_writer_bytes_unchanged(self):
+        for record, pinned in V2_RECORDS:
+            assert encode_record(record) == pinned
+
+    def test_mixed_v1_then_v2_wal_recovers_exactly(self, tmp_path):
+        wal = b"".join(V1_RECORDS) + b"".join(pinned for _, pinned in V2_RECORDS)
+        (tmp_path / "wal.log").write_bytes(wal)
+        store = FileStore(tmp_path)
+        state = store.recover()
+        assert state.wal_records == 6
+        assert not state.truncated
+        assert state.tables == {("hindex", 9): {frozenset({"fig"}): {"o2", "o3", "o4"}}}
+        assert state.refs == {"o1": {3}, "o4": {7}}
+        # New appends land after the old records, as v2.
+        store.record_put("hindex", 9, ["fig"], "o5")
+        store.record_ref_del("o1", 3)
+        store.close()
+        data = (tmp_path / "wal.log").read_bytes()
+        assert data.startswith(wal)
+        assert _record_versions(data) == [1, 1, 1, 2, 2, 2, 2, 2]
+        state = FileStore(tmp_path).recover()
+        assert state.tables == {("hindex", 9): {frozenset({"fig"}): {"o2", "o3", "o4", "o5"}}}
+        assert state.refs == {"o4": {7}}
 
 
 class TestEntryRecords:

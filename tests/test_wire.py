@@ -1,31 +1,27 @@
-"""Tests for the wire codec (repro.net.wire)."""
+"""Tests for the wire format (repro.net.wire)."""
 
-import json
 import math
 import struct
 
 import pytest
 
-from repro.net.codec import CODEC_BINARY, CODEC_JSON, PostingList
+from repro.net.codec import CODEC_BINARY, PostingList, decode_value_exact, encode_value_binary
 from repro.net.errors import ProtocolError
 from repro.net.wire import (
     DEFAULT_MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
-    PROTOCOL_VERSION_BINARY,
     Frame,
     FrameDecoder,
     FrameType,
     decode_frame,
-    decode_value,
     encode_frame,
-    encode_value,
     parse_frame_info,
 )
 
 # One realistic request per message kind the protocol stack sends —
 # payloads mirror what the handlers in repro.dht.* / repro.core.index
-# actually receive, including the frozenset/tuple shapes that JSON
-# alone cannot carry.
+# actually receive, including the frozenset/tuple shapes that plain
+# JSON-shaped data cannot carry.
 PROTOCOL_REQUESTS = {
     # Chord (repro.dht.chord)
     "chord.route_step": {"key": 123456789},
@@ -91,6 +87,12 @@ def roundtrip(frame: Frame) -> Frame:
     return decoded
 
 
+def encode_value(value) -> bytes:
+    buffer = bytearray()
+    encode_value_binary(buffer, value)
+    return bytes(buffer)
+
+
 class TestValueEncoding:
     @pytest.mark.parametrize(
         "value",
@@ -115,17 +117,17 @@ class TestValueEncoding:
         ],
     )
     def test_roundtrip_exact(self, value):
-        recovered = decode_value(json.loads(json.dumps(encode_value(value))))
+        recovered = decode_value_exact(encode_value(value))
         assert recovered == value
         assert type(recovered) is type(value)
 
     def test_set_vs_frozenset_distinguished(self):
-        assert type(decode_value(encode_value({"a"}))) is set
-        assert type(decode_value(encode_value(frozenset({"a"})))) is frozenset
+        assert type(decode_value_exact(encode_value({"a"}))) is set
+        assert type(decode_value_exact(encode_value(frozenset({"a"})))) is frozenset
 
     def test_deterministic_bytes_for_sets(self):
-        first = json.dumps(encode_value(frozenset({"c", "a", "b"})))
-        second = json.dumps(encode_value(frozenset({"b", "c", "a"})))
+        first = encode_value(frozenset({"c", "a", "b"}))
+        second = encode_value(frozenset({"b", "c", "a"}))
         assert first == second
 
     def test_unencodable_type_rejected(self):
@@ -133,8 +135,8 @@ class TestValueEncoding:
             encode_value(object())
 
     def test_unknown_tag_rejected(self):
-        with pytest.raises(ProtocolError):
-            decode_value({"!": "mystery", "v": []})
+        with pytest.raises(ProtocolError, match="type byte"):
+            decode_value_exact(b"\x7f")
 
 
 class TestFrameRoundtrip:
@@ -165,7 +167,7 @@ class TestFrameRoundtrip:
 
     def test_version_byte_on_the_wire(self):
         data = encode_frame(Frame(FrameType.REQUEST, "kad.ping", 1, 2, 3, {}))
-        assert data[4] == PROTOCOL_VERSION
+        assert data[4] == PROTOCOL_VERSION == 2
 
 
 class TestMalformedFrames:
@@ -194,89 +196,126 @@ class TestMalformedFrames:
             encode_frame(frame, max_frame_bytes=32)
 
     def test_wrong_version_rejected(self):
-        data = bytearray(self.good_bytes())
-        data[4] = 99  # neither v1 (JSON) nor v2 (codec-id framed)
-        with pytest.raises(ProtocolError, match="version"):
-            decode_frame(bytes(data))
+        for version in (1, 99):  # v1 is the retired JSON format
+            data = bytearray(self.good_bytes())
+            data[4] = version
+            with pytest.raises(ProtocolError, match="version"):
+                decode_frame(bytes(data))
 
     def test_garbage_json_rejected(self):
-        body = bytes([PROTOCOL_VERSION]) + b"{not json"
-        with pytest.raises(ProtocolError, match="malformed"):
+        # A v1 body is refused by its version byte; the JSON behind it
+        # is never parsed.
+        body = bytes([1]) + b"{not json"
+        with pytest.raises(ProtocolError, match="version 1"):
             decode_frame(struct.pack("!I", len(body)) + body)
 
     @pytest.mark.parametrize(
         "envelope",
+        # Each envelope is a list of byte chunks after the version and
+        # codec-id bytes: frame type, kind, src, dst, id, priority, payload.
         [
-            [],  # not an object
-            {"kind": "x", "src": 1, "dst": 2, "id": 3},  # missing type
-            {"t": "bogus", "kind": "x", "src": 1, "dst": 2, "id": 3},
-            {"t": "req", "kind": 9, "src": 1, "dst": 2, "id": 3},  # kind not str
-            {"t": "req", "kind": "x", "src": "a", "dst": 2, "id": 3},
-            {"t": "req", "kind": "x", "src": 1, "dst": 2, "id": "z"},
+            [],  # no frame-type byte
+            [b"\x09", b"\x08kad.ping", b"\x02\x04\x06\x00", b"\x0a\x00"],  # bad type
+            [b"\x00", b"\x08kad"],  # kind cut short
+            [b"\x00", b"\x08kad.ping", b"\x02\x04"],  # id and priority missing
+            [b"\x00", b"\x08kad.ping", b"\x02\x04\x06\x00"],  # payload missing
+            [b"\x00", b"\x08kad.ping", b"\x02\x04\x06\x00", b"\x0a\x00", b"\x00"],  # trailing
         ],
     )
     def test_bad_envelopes_rejected(self, envelope):
-        body = bytes([PROTOCOL_VERSION]) + json.dumps(envelope).encode()
+        body = bytes([PROTOCOL_VERSION, CODEC_BINARY]) + b"".join(envelope)
         with pytest.raises(ProtocolError):
             decode_frame(struct.pack("!I", len(body)) + body)
-
-
-def roundtrip_binary(frame: Frame) -> Frame:
-    data = encode_frame(frame, codec=CODEC_BINARY)
-    decoded, consumed = decode_frame(data)
-    assert consumed == len(data)
-    return decoded
 
 
 class TestBinaryFrames:
     @pytest.mark.parametrize("kind", sorted(PROTOCOL_REQUESTS))
     def test_every_protocol_request_kind(self, kind):
         frame = Frame(FrameType.REQUEST, kind, 12, 34, 7, PROTOCOL_REQUESTS[kind])
-        assert roundtrip_binary(frame) == frame
+        assert roundtrip(frame) == frame
 
     @pytest.mark.parametrize("kind", sorted(PROTOCOL_REPLIES))
     def test_reply_payloads(self, kind):
         frame = Frame(FrameType.REPLY, kind, 34, 12, 7, PROTOCOL_REPLIES[kind])
-        assert roundtrip_binary(frame) == frame
+        assert roundtrip(frame) == frame
 
     def test_version_and_codec_bytes_on_the_wire(self):
-        data = encode_frame(Frame(FrameType.REQUEST, "kad.ping", 1, 2, 3, {}),
-                            codec=CODEC_BINARY)
-        assert data[4] == PROTOCOL_VERSION_BINARY
+        data = encode_frame(Frame(FrameType.REQUEST, "kad.ping", 1, 2, 3, {}))
+        assert data[4] == PROTOCOL_VERSION
         assert data[5] == CODEC_BINARY
+
+    # Reference bytes of the v2 layout: running peers speak exactly
+    # this, so the encoder must not move a byte.
+    PINNED = {
+        "reply": (
+            Frame(FrameType.REPLY, "hindex.scan", 34, 12, 7, {
+                "matches": PostingList([
+                    (frozenset({"dht", "search"}), ("paper.pdf",)),
+                    (frozenset({"p2p"}), ("a", "b")),
+                ]),
+                "truncated": False,
+                "epoch": -3,
+            }, priority=2),
+            b"\x00\x00\x00S\x02\x02\x01\x0bhindex.scanD\x18\x0e\x04\n\x03\x07matches"
+            b"\x0c\x02\x02\x03dht\x06search\x01\tpaper.pdf\x01\x03p2p\x02\x01a\x01b"
+            b"\ttruncated\x02\x05epoch\x03\x05",
+        ),
+        "request": (
+            Frame(FrameType.REQUEST, "hindex.put", 12, 34, 300, {
+                "logical": 5,
+                "object_id": "paper.pdf",
+                "keywords": frozenset({"dht", "p2p"}),
+                "score": 0.5,
+                "tags": {1: None, (2, 3): True},
+            }),
+            b"\x00\x00\x00i\x02\x02\x00\nhindex.put\x18D\xd8\x04\x00\n\x05\x07logical"
+            b"\x03\n\tobject_id\x05\tpaper.pdf\x08keywords\t\x02\x05\x03dht\x05\x03p2p"
+            b"\x05score\x04?\xe0\x00\x00\x00\x00\x00\x00\x04tags\x0b\x02\x03\x02\x00"
+            b"\x07\x02\x03\x04\x03\x06\x01",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_frame_bytes_pinned(self, name):
+        frame, pinned = self.PINNED[name]
+        assert encode_frame(frame) == pinned
+        assert decode_frame(pinned) == (frame, len(pinned))
+
+    def test_parse_frame_info_puts_the_frame_first(self):
+        data = encode_frame(Frame(FrameType.REQUEST, "kad.ping", 1, 2, 3, {}))
+        frame, size = parse_frame_info(data[4:])
+        assert frame == Frame(FrameType.REQUEST, "kad.ping", 1, 2, 3, {})
+        assert size == len(data) - 4
 
     def test_priority_and_negative_addresses(self):
         frame = Frame(FrameType.REQUEST, "hindex.scan", -1, 2**40, 3, {}, priority=9)
-        assert roundtrip_binary(frame) == frame
+        assert roundtrip(frame) == frame
 
-    def test_smaller_than_json_on_posting_heavy_reply(self):
+    def test_posting_list_smaller_than_generic_rows(self):
         matches = PostingList(
             (frozenset({f"kw{i}", "dht"}), (f"obj-{i}.pdf",)) for i in range(20)
         )
-        frame = Frame(FrameType.REPLY, "hindex.scan", 1, 2, 3,
-                      {"matches": matches, "truncated": False})
-        binary = encode_frame(frame, codec=CODEC_BINARY)
-        json_form = encode_frame(frame)
-        assert len(binary) < 0.7 * len(json_form)
+        flat = encode_frame(Frame(FrameType.REPLY, "hindex.scan", 1, 2, 3,
+                                  {"matches": matches, "truncated": False}))
+        generic = encode_frame(Frame(FrameType.REPLY, "hindex.scan", 1, 2, 3,
+                                     {"matches": list(matches), "truncated": False}))
+        assert len(flat) < len(generic)
 
     def test_unknown_codec_id_rejected(self):
-        data = bytearray(encode_frame(Frame(FrameType.REQUEST, "kad.ping", 1, 2, 3, {}),
-                                      codec=CODEC_BINARY))
+        data = bytearray(encode_frame(Frame(FrameType.REQUEST, "kad.ping", 1, 2, 3, {})))
         data[5] = 77
         with pytest.raises(ProtocolError, match="codec"):
             decode_frame(bytes(data))
 
     def test_unknown_frame_type_byte_rejected(self):
-        data = bytearray(encode_frame(Frame(FrameType.REQUEST, "kad.ping", 1, 2, 3, {}),
-                                      codec=CODEC_BINARY))
+        data = bytearray(encode_frame(Frame(FrameType.REQUEST, "kad.ping", 1, 2, 3, {})))
         data[6] = 250
         with pytest.raises(ProtocolError, match="type"):
             decode_frame(bytes(data))
 
     def test_truncated_binary_body_rejected(self):
         data = encode_frame(
-            Frame(FrameType.REQUEST, "hindex.scan", 1, 2, 3, PROTOCOL_REQUESTS["hindex.scan"]),
-            codec=CODEC_BINARY,
+            Frame(FrameType.REQUEST, "hindex.scan", 1, 2, 3, PROTOCOL_REQUESTS["hindex.scan"])
         )
         # Re-frame a cut body so the length header is consistent.
         cut = data[struct.calcsize("!I"):-4]
@@ -285,64 +324,20 @@ class TestBinaryFrames:
 
 
 class TestNonFinitePayloads:
-    """Regression: NaN/Infinity used to sail through ``json.dumps`` as
-    the nonstandard ``NaN``/``Infinity`` literals that strict peers
-    cannot parse.  Both codecs must refuse at encode time."""
+    """NaN/Infinity have no agreed encoding across peers; the encoder
+    must refuse them at encode time."""
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("codec", [CODEC_JSON, CODEC_BINARY])
-    def test_rejected_at_encode_time(self, codec, bad):
+    def test_rejected_at_encode_time(self, bad):
         frame = Frame(FrameType.REPLY, "stats.latency", 1, 2, 3, {"p99": bad})
         with pytest.raises(ProtocolError, match="unencodable|non-finite"):
-            encode_frame(frame, codec=codec)
+            encode_frame(frame)
 
     def test_nested_nan_rejected(self):
         frame = Frame(FrameType.REPLY, "stats.latency", 1, 2, 3,
                       {"series": [1.0, (2.0, math.nan)]})
         with pytest.raises(ProtocolError):
             encode_frame(frame)
-
-
-class TestNegotiationParsing:
-    def good_frame(self):
-        return Frame(FrameType.REQUEST, "kad.ping", 1, 2, 3, {})
-
-    def test_v1_without_advert(self):
-        frame, codec_id, advertised = parse_frame_info(encode_frame(self.good_frame())[4:])
-        assert codec_id == CODEC_JSON
-        assert advertised == ()
-        assert frame == self.good_frame()
-
-    def test_v1_with_advert(self):
-        data = encode_frame(self.good_frame(), advertise=(CODEC_JSON, CODEC_BINARY))
-        frame, codec_id, advertised = parse_frame_info(data[4:])
-        assert codec_id == CODEC_JSON
-        assert advertised == (CODEC_JSON, CODEC_BINARY)
-        assert frame == self.good_frame()
-
-    def test_v2_implies_binary_capability(self):
-        data = encode_frame(self.good_frame(), codec=CODEC_BINARY)
-        frame, codec_id, advertised = parse_frame_info(data[4:])
-        assert codec_id == CODEC_BINARY
-        assert CODEC_BINARY in advertised
-        assert frame == self.good_frame()
-
-    def test_advert_ignored_by_plain_decode(self):
-        # decode_frame (the v1 entry point) must keep accepting frames
-        # that carry the negotiation key — legacy peers see it as an
-        # unknown envelope key and move on.
-        data = encode_frame(self.good_frame(), advertise=(CODEC_JSON, CODEC_BINARY))
-        decoded, consumed = decode_frame(data)
-        assert decoded == self.good_frame()
-        assert consumed == len(data)
-
-    def test_malformed_advert_is_ignored(self):
-        envelope = {"t": "req", "kind": "kad.ping", "src": 1, "dst": 2, "id": 3,
-                    "p": {}, "cd": "not-a-list"}
-        body = bytes([PROTOCOL_VERSION]) + json.dumps(envelope).encode()
-        frame, codec_id, advertised = parse_frame_info(body)
-        assert codec_id == CODEC_JSON
-        assert advertised == ()
 
 
 class TestFrameDecoder:
@@ -387,7 +382,7 @@ class TestFrameDecoder:
     def test_garbage_after_good_frame_poisons(self):
         decoder = FrameDecoder()
         good = encode_frame(Frame(FrameType.REQUEST, "kad.ping", 1, 2, 3, {}))
-        bad_body = bytes([PROTOCOL_VERSION]) + b"\xff\xfe garbage"
+        bad_body = bytes([PROTOCOL_VERSION, CODEC_BINARY]) + b"\xff\xfe garbage"
         bad = struct.pack("!I", len(bad_body)) + bad_body
         with pytest.raises(ProtocolError):
             decoder.feed(good + bad)
